@@ -198,62 +198,49 @@ class EncryptedEnvelope:
                    counter=counter, ciphertext=data[HEADER_LEN:])
 
 
-# --- allowed-IPs prefix trie ----------------------------------------------------
+# --- allowed-IPs prefix table --------------------------------------------------
 
 
-class _TrieNode:
-    __slots__ = ("zero", "one", "owner")
-
-    def __init__(self):
-        self.zero: _TrieNode | None = None
-        self.one: _TrieNode | None = None
-        self.owner: bytes | None = None
-
-
-class PrefixTrie:
-    """Binary trie over IPv4 prefixes; each exact prefix has one owner key."""
+class PrefixTable:
+    """IPv4 prefixes in one dict per prefix length, probed longest-first;
+    each exact prefix has one owner key."""
 
     def __init__(self):
-        self._root = _TrieNode()
+        self._by_length: dict[int, dict[int, bytes]] = {}
+        self._probes: list[tuple[int, dict[int, bytes]]] = []  # (netmask, prefixes), longest first
 
-    @staticmethod
-    def _bits(value: int, length: int):
-        for shift in range(31, 31 - length, -1):
-            yield (value >> shift) & 1
+    def _reindex(self):
+        self._probes = [((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF, self._by_length[length])
+                        for length in sorted(self._by_length, reverse=True)]
 
     def insert(self, network: ipaddress.IPv4Network, owner: bytes) -> bytes | None:
         """Set the prefix owner; returns the displaced owner, if any."""
-        node = self._root
-        for bit in self._bits(int(network.network_address), network.prefixlen):
-            if bit:
-                node.one = node.one or _TrieNode()
-                node = node.one
-            else:
-                node.zero = node.zero or _TrieNode()
-                node = node.zero
-        previous = node.owner
-        node.owner = owner
+        prefixes = self._by_length.get(network.prefixlen)
+        if prefixes is None:
+            prefixes = self._by_length[network.prefixlen] = {}
+            self._reindex()
+        address = int(network.network_address)
+        previous = prefixes.get(address)
+        prefixes[address] = owner
         return previous if previous != owner else None
 
     def remove(self, network: ipaddress.IPv4Network):
-        node = self._root
-        for bit in self._bits(int(network.network_address), network.prefixlen):
-            node = node.one if bit else node.zero
-            if node is None:
-                return
-        node.owner = None
+        prefixes = self._by_length.get(network.prefixlen)
+        if prefixes is None:
+            return
+        prefixes.pop(int(network.network_address), None)
+        if not prefixes:
+            del self._by_length[network.prefixlen]
+            self._reindex()
 
     def lookup(self, ip: ipaddress.IPv4Address) -> bytes | None:
         """Owner of the longest prefix containing ip, or None."""
-        node = self._root
-        best = node.owner
-        for bit in self._bits(int(ip), 32):
-            node = node.one if bit else node.zero
-            if node is None:
-                break
-            if node.owner is not None:
-                best = node.owner
-        return best
+        address = int(ip)
+        for netmask, prefixes in self._probes:
+            owner = prefixes.get(address & netmask)
+            if owner is not None:
+                return owner
+        return None
 
 
 # --- routing table --------------------------------------------------------------
@@ -298,7 +285,7 @@ class CryptokeyRoutingTable:
         self.tunnel_address = tunnel_address
         self.peers: dict[bytes, PeerEntry] = {}
         self.tx_counters: dict[bytes, int] = {}
-        self._trie = PrefixTrie()
+        self._prefixes = PrefixTable()
         self._sessions: dict[bytes, tuple[bytes, bytes]] = {}
 
     @property
@@ -324,7 +311,7 @@ class CryptokeyRoutingTable:
             entry = PeerEntry(public_key=key, allowed_ips=[])
             self.peers[key] = entry
         for network in networks:
-            displaced = self._trie.insert(network, key)
+            displaced = self._prefixes.insert(network, key)
             if displaced is not None and displaced in self.peers:
                 other = self.peers[displaced]
                 other.allowed_ips = [n for n in other.allowed_ips if n != network]
@@ -339,7 +326,7 @@ class CryptokeyRoutingTable:
         if entry is None:
             raise UnknownPeer(f"no peer {key_to_base64(key)}")
         for network in entry.allowed_ips:
-            self._trie.remove(network)
+            self._prefixes.remove(network)
         # tx_counters intentionally survive deletion: session keys are static
         # per key pair, so restarting the counter after a re-add would reuse
         # AEAD nonces under the same key
@@ -351,7 +338,7 @@ class CryptokeyRoutingTable:
             address = ipaddress.IPv4Address(ip)
         except (ipaddress.AddressValueError, ValueError) as exc:
             raise CryptokeyError(f"not an IPv4 address: {ip!r}") from exc
-        owner = self._trie.lookup(address)
+        owner = self._prefixes.lookup(address)
         if owner is None:
             raise NoPeer(f"no allowed-ips prefix covers {address}")
         return owner

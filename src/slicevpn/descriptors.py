@@ -89,12 +89,6 @@ class VnfDescriptor:
 
     kind = "vnfd"
 
-    def primitive(self, name: str) -> PrimitiveSpec | None:
-        for p in self.initial_config_primitives + self.config_primitives:
-            if p.name == name:
-                return p
-        return None
-
     def interface_names(self) -> set[str]:
         return {i.name for vdu in self.vdus for i in vdu.interfaces}
 
@@ -134,12 +128,6 @@ class NsDescriptor:
     connection_points: tuple[ConnectionPointSpec, ...] = ()
 
     kind = "nsd"
-
-    def member(self, index: int) -> NsdVnfMember | None:
-        for m in self.vnf_members:
-            if m.member_index == index:
-                return m
-        return None
 
 
 @dataclass(frozen=True)
@@ -190,7 +178,21 @@ class ValidationReport:
 
 
 class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys."""
+    """SafeLoader that rejects aliases, anchors, explicit tags, and duplicate
+    mapping keys while it composes, so a document is scanned once."""
+
+    def compose_node(self, parent, index):
+        event = self.peek_event()
+        if isinstance(event, yaml.AliasEvent):
+            problem = "aliases are not allowed"
+        elif event.anchor:
+            problem = "anchors are not allowed"
+        elif event.tag:
+            problem = "explicit tags are not allowed"
+        else:
+            return super().compose_node(parent, index)
+        mark = event.start_mark
+        raise DescriptorSyntaxError(problem, mark.line + 1, mark.column + 1)
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -208,23 +210,7 @@ class _StrictLoader(yaml.SafeLoader):
 def load_strict_yaml(text: str):
     """Parse the YAML subset: no anchors, aliases, tags, or duplicate keys."""
     try:
-        for event in yaml.parse(text):
-            mark = event.start_mark
-            if isinstance(event, yaml.AliasEvent):
-                raise DescriptorSyntaxError("aliases are not allowed", mark.line + 1, mark.column + 1)
-            if getattr(event, "anchor", None) and not isinstance(event, yaml.AliasEvent):
-                raise DescriptorSyntaxError("anchors are not allowed", mark.line + 1, mark.column + 1)
-            if getattr(event, "tag", None):
-                raise DescriptorSyntaxError("explicit tags are not allowed", mark.line + 1, mark.column + 1)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise DescriptorSyntaxError(str(getattr(exc, "problem", exc)), mark.line + 1, mark.column + 1) from exc
-        raise DescriptorSyntaxError(str(exc)) from exc
-    try:
         return yaml.load(text, Loader=_StrictLoader)
-    except DescriptorSyntaxError:
-        raise
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -287,13 +273,17 @@ def _check_cidr(value: str, path: str) -> str:
     return str(net)
 
 
-def _check_header(doc: dict, expected_kind: str):
+def _document(source: str | dict, expected_kind: str) -> dict:
+    """The checked top-level mapping of a descriptor given as text or as an
+    already-loaded document."""
+    doc = _require_mapping(load_strict_yaml(source) if isinstance(source, str) else source, "/")
     kind = doc.get("kind")
     if kind != expected_kind:
         raise DescriptorSchemaError("/kind", f"expected {expected_kind!r}, got {kind!r}")
     version = doc.get("schema-version")
     if version != SCHEMA_VERSION:
         raise DescriptorSchemaError("/schema-version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    return doc
 
 
 # --- parsing ------------------------------------------------------------------
@@ -368,10 +358,9 @@ def _parse_vdu(obj, path: str) -> VduSpec:
     )
 
 
-def parse_vnfd(text: str) -> VnfDescriptor:
-    """Parse a VNF descriptor document."""
-    doc = _require_mapping(load_strict_yaml(text), "/")
-    _check_header(doc, "vnfd")
+def parse_vnfd(source: str | dict) -> VnfDescriptor:
+    """Parse a VNF descriptor document (text or a loaded mapping)."""
+    doc = _document(source, "vnfd")
     _check_keys(
         doc, "",
         required=("kind", "schema-version", "id", "name", "mgmt-interface", "vdus"),
@@ -404,10 +393,9 @@ def parse_vnfd(text: str) -> VnfDescriptor:
     )
 
 
-def parse_nsd(text: str) -> NsDescriptor:
-    """Parse a network service descriptor document."""
-    doc = _require_mapping(load_strict_yaml(text), "/")
-    _check_header(doc, "nsd")
+def parse_nsd(source: str | dict) -> NsDescriptor:
+    """Parse a network service descriptor document (text or a loaded mapping)."""
+    doc = _document(source, "nsd")
     _check_keys(
         doc, "",
         required=("kind", "schema-version", "id", "name", "vnf-members"),
@@ -475,10 +463,9 @@ def parse_nsd(text: str) -> NsDescriptor:
     )
 
 
-def parse_nst(text: str) -> NstDescriptor:
-    """Parse a network slice template document."""
-    doc = _require_mapping(load_strict_yaml(text), "/")
-    _check_header(doc, "nst")
+def parse_nst(source: str | dict) -> NstDescriptor:
+    """Parse a network slice template document (text or a loaded mapping)."""
+    doc = _document(source, "nst")
     _check_keys(
         doc, "",
         required=("kind", "schema-version", "id", "name", "ns-members"),
@@ -532,7 +519,7 @@ def parse_descriptor(text: str) -> Descriptor:
     kind = doc.get("kind")
     if kind not in _PARSERS:
         raise DescriptorSchemaError("/kind", f"unknown kind {kind!r}, expected one of {sorted(_PARSERS)}")
-    return _PARSERS[kind](text)
+    return _PARSERS[kind](doc)
 
 
 # --- serialization ------------------------------------------------------------

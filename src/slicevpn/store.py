@@ -7,12 +7,17 @@ same clock. Gateway private keys live in this state file (it is the
 artifact's disk, like a real gateway's config directory) and are never
 echoed into reports, logs, or command output.
 
-One CLI invocation at a time per store: an advisory lock file makes
-concurrent invocations fail fast.
+Saving writes ``state.json`` as compact, key-sorted JSON and rewrites a
+catalog file only when its descriptor differs from the one that was loaded.
+
+One CLI invocation at a time per store: an advisory ``flock`` on the
+persistent ``.lock`` file makes concurrent invocations fail fast, and the
+kernel drops it when its holder exits, even by ``kill -9``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import ipaddress
 import json
 import os
@@ -21,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, generate_keypair
-from slicevpn.descriptors import parse_descriptor, serialize_descriptor
+from slicevpn.descriptors import Descriptor, parse_descriptor, serialize_descriptor
 from slicevpn.errors import SliceVpnError
 from slicevpn.lifecycle import (
     Actor,
@@ -52,11 +57,12 @@ class StoreError(SliceVpnError):
 
 
 def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def _unfrac(text: str) -> Fraction:
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def _endpoint(ep: Endpoint | None) -> str | None:
@@ -236,39 +242,72 @@ def _vim_from_doc(doc: dict) -> Vim:
     return vim
 
 
+def _orchestrator_from_doc(state: dict, backend) -> Orchestrator:
+    orch = Orchestrator(
+        vim=_vim_from_doc(state["vim"]), backend=backend,
+        profile=_profile_from_doc(state["default-profile"]))
+    orch._next_ns = state["next-ns"]
+    orch._next_slice = state["next-slice"]
+    orch._next_slice_net = state["next-slice-net"]
+    for a in state["actors"]:
+        orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
+    for doc in state["instances"]:
+        instance = NetworkServiceInstance(
+            id=doc["id"],
+            nsd_id=doc["nsd-id"],
+            state=doc["state"],
+            released=doc["released"],
+            wall_seconds=doc.get("wall-seconds", 0.0),
+            params=dict(doc["params"]),
+            networks=dict(doc["networks"]),
+            profile=_profile_from_doc(doc["profile"]),
+            events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
+        )
+        for rdoc in doc["vnf-records"]:
+            record, bound = _record_from_doc(rdoc)
+            if bound and record.table is not None:
+                record.handle = orch.backend.bind(
+                    record.table.listen_endpoint, record.transport_scope)
+            instance.vnf_records.append(record)
+        orch.instances[instance.id] = instance
+    for sdoc in state.get("slices", []):
+        orch.slices[sdoc["id"]] = SliceInstance(
+            id=sdoc["id"], nst_id=sdoc["nst-id"],
+            ns_instance_ids=list(sdoc["ns-instance-ids"]),
+            networks=dict(sdoc["networks"]))
+    return orch
+
+
 class Store:
     """One operator state directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # catalog file name -> the descriptor that file is known to hold
+        self._catalog_files: dict[str, Descriptor] = {}
 
     @contextmanager
     def lock(self):
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / LOCK_FILE
+        fd = os.open(self.root / LOCK_FILE, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreError(
-                f"store {self.root} is in use by another invocation (stale? remove {path})"
-            ) from None
-        try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreError(f"store {self.root} is in use by another invocation") from None
             yield self
         finally:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            os.close(fd)  # releases the lock
 
     def save(self, orch: Orchestrator):
         self.root.mkdir(parents=True, exist_ok=True)
         catalog_dir = self.root / CATALOG_DIR
         catalog_dir.mkdir(exist_ok=True)
         for descriptor in orch.catalog.descriptors():
-            path = catalog_dir / f"{descriptor.kind}-{descriptor.id}.yaml"
-            path.write_text(serialize_descriptor(descriptor), encoding="utf-8")
+            name = f"{descriptor.kind}-{descriptor.id}.yaml"
+            if self._catalog_files.get(name) != descriptor:
+                (catalog_dir / name).write_text(serialize_descriptor(descriptor), encoding="utf-8")
+                self._catalog_files[name] = descriptor
         state = {
             "version": 1,
             "vim": _vim_to_doc(orch.vim),
@@ -293,7 +332,7 @@ class Store:
         }
         path = self.root / STATE_FILE
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(state, indent=2, sort_keys=True), encoding="utf-8")
+        tmp.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")), encoding="utf-8")
         os.replace(tmp, path)  # crash-safe swap
 
     def load(self, backend=None) -> Orchestrator:
@@ -302,46 +341,18 @@ class Store:
         state_path = self.root / STATE_FILE
         if not state_path.exists():
             orch = Orchestrator(backend=backend)
-            self._load_catalog(orch)
-            return orch
-        try:
-            state = json.loads(state_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"corrupt state file {state_path}: {exc}") from exc
-        vim = _vim_from_doc(state["vim"])
-        orch = Orchestrator(
-            vim=vim, backend=backend,
-            profile=_profile_from_doc(state["default-profile"]))
-        orch._next_ns = state["next-ns"]
-        orch._next_slice = state["next-slice"]
-        orch._next_slice_net = state["next-slice-net"]
-        for a in state["actors"]:
-            orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
+        else:
+            try:
+                state = json.loads(state_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
+                raise StoreError(f"corrupt state file {state_path}: {exc}") from exc
+            # decoding errors only: an OSError from re-binding a gateway's
+            # socket is not a fault of the file
+            try:
+                orch = _orchestrator_from_doc(state, backend)
+            except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+                raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)
-        for doc in state["instances"]:
-            instance = NetworkServiceInstance(
-                id=doc["id"],
-                nsd_id=doc["nsd-id"],
-                state=doc["state"],
-                released=doc["released"],
-                wall_seconds=doc.get("wall-seconds", 0.0),
-                params=dict(doc["params"]),
-                networks=dict(doc["networks"]),
-                profile=_profile_from_doc(doc["profile"]),
-                events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
-            )
-            for rdoc in doc["vnf-records"]:
-                record, bound = _record_from_doc(rdoc)
-                if bound and record.table is not None:
-                    record.handle = orch.backend.bind(
-                        record.table.listen_endpoint, record.transport_scope)
-                instance.vnf_records.append(record)
-            orch.instances[instance.id] = instance
-        for sdoc in state.get("slices", []):
-            orch.slices[sdoc["id"]] = SliceInstance(
-                id=sdoc["id"], nst_id=sdoc["nst-id"],
-                ns_instance_ids=list(sdoc["ns-instance-ids"]),
-                networks=dict(sdoc["networks"]))
         return orch
 
     def _load_catalog(self, orch: Orchestrator):
@@ -349,4 +360,6 @@ class Store:
         if not catalog_dir.is_dir():
             return
         for path in sorted(catalog_dir.glob("*.yaml")):
-            orch.catalog.add(parse_descriptor(path.read_text(encoding="utf-8")))
+            descriptor = parse_descriptor(path.read_text(encoding="utf-8"))
+            orch.catalog.add(descriptor)
+            self._catalog_files[path.name] = descriptor

@@ -85,18 +85,6 @@ class Handle:
         self.backend.unbind(self)
 
 
-def bind(backend, endpoint: Endpoint, scope: str = "") -> Handle:
-    return backend.bind(endpoint, scope)
-
-
-def send_datagram(handle: Handle, dst: Endpoint, data: bytes):
-    handle.send(dst, data)
-
-
-def recv_datagram(handle: Handle, timeout_s: float | None = None) -> Datagram | None:
-    return handle.recv(timeout_s)
-
-
 class InMemoryBackend:
     """Deterministic single-stepped delivery on the simulated clock.
 
@@ -158,9 +146,6 @@ class InMemoryBackend:
         delivery, _, datagram = heapq.heappop(queue)
         self.clock.advance_to(delivery)
         return datagram
-
-    def pending(self, endpoint: Endpoint, scope: str = "") -> int:
-        return len(self._queues.get((scope, endpoint), ()))
 
 
 class UdpBackend:

@@ -6,12 +6,14 @@ Regenerate the golden transcript after an intentional output change with:
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from slicevpn.cli import main
+from slicevpn.store import Store
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
@@ -114,11 +116,18 @@ class TestErrors:
 
     def test_lock_contention_fails_fast(self, tmp_path):
         store = tmp_path / "s"
-        store.mkdir()
-        (store / ".lock").write_text("999999")
-        status, _, err = run_cli("--store", str(store), "kpi", "ns-1")
+        with Store(store).lock():  # another invocation holds the store
+            status, _, err = run_cli("--store", str(store), "kpi", "ns-1")
         assert status == 1
         assert "in use" in err
+
+    def test_corrupt_state_is_a_one_line_error(self, tmp_path):
+        store = tmp_path / "s"
+        store.mkdir()
+        (store / "state.json").write_text("{}")
+        status, _, err = run_cli("--store", str(store), "kpi", "ns-1")
+        assert status == 1
+        assert err.startswith("error: corrupt state file") and err.count("\n") == 1
 
     def test_onboard_missing_vnfd_warns(self, tmp_path):
         status, out, _ = run_cli("--store", str(tmp_path / "s"),
@@ -189,6 +198,18 @@ class TestLifecycleOverCli:
         assert status == 0
         status, out, _ = run_cli("--store", store, "ns-show", "ns-1")
         assert status == 0 and "state=Terminated" in out
+
+    def test_read_only_action_leaves_catalog_files_untouched(self, tmp_path):
+        store = tmp_path / "s"
+        run_golden_session(str(store))
+        files = sorted((store / "catalog").glob("*.yaml"))
+        assert len(files) == 3
+        for path in files:
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
+        status, _, _ = run_cli("--store", str(store), "ns-action", "ns-1", "1", "get-public-key")
+        assert status == 0
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == before
 
     def test_slice_create(self, tmp_path):
         store = str(tmp_path / "s")

@@ -74,7 +74,7 @@ def _ref_public(seed: bytes) -> bytes:
 
 
 def linear_lpm(prefixes: list[tuple[ipaddress.IPv4Network, bytes]], ip: str) -> bytes | None:
-    """Brute-force longest-prefix scan, the oracle the trie is checked against."""
+    """Brute-force longest-prefix scan, the oracle the prefix table is checked against."""
     address = ipaddress.IPv4Address(ip)
     best = None
     best_len = -1
@@ -244,6 +244,44 @@ class TestLookup:
                         table.lookup_by_ip(ip)
                 else:
                     assert table.lookup_by_ip(ip) == expected
+
+    def test_lookup_matches_linear_scan_under_deletion(self):
+        # few owners and prefixes in one /16, so adds reassign exact prefixes,
+        # deletes empty whole prefix lengths, and later adds refill them
+        rng = random.Random(4242)
+        owners = [generate_keypair(bytes([0x40 + i]) * 32).public for i in range(6)]
+        base = int(ipaddress.IPv4Address("10.20.0.0"))
+        pool = [ipaddress.IPv4Network((base + rng.getrandbits(16), length), strict=False)
+                for length in (0, 8, 16, 20, 24, 24, 28, 30, 32, 32) for _ in range(2)]
+        table = make_table(1)
+        model: dict[ipaddress.IPv4Network, bytes] = {}
+        emptied = refilled = 0
+        for _ in range(600):
+            lengths_before = {n.prefixlen for n in model}
+            owner = rng.choice(owners)
+            if owner in table.peers and rng.random() < 0.35:
+                table.del_peer(owner)
+                model = {n: k for n, k in model.items() if k != owner}
+            else:
+                networks = rng.sample(pool, rng.randint(1, 3))
+                table.add_peer(owner, networks)
+                model.update((n, owner) for n in networks)
+            lengths_after = {n.prefixlen for n in model}
+            emptied += len(lengths_before - lengths_after)
+            refilled += len(lengths_after - lengths_before)
+            oracle = list(model.items())
+            for key, entry in table.peers.items():
+                assert set(entry.allowed_ips) == {n for n, k in model.items() if k == key}
+            probes = [str(n[rng.randrange(n.num_addresses)]) for n in rng.sample(pool, 4)]
+            probes.append(str(ipaddress.IPv4Address(rng.getrandbits(32))))
+            for ip in probes:
+                expected = linear_lpm(oracle, ip)
+                if expected is None:
+                    with pytest.raises(NoPeer):
+                        table.lookup_by_ip(ip)
+                else:
+                    assert table.lookup_by_ip(ip) == expected
+        assert emptied > 20 and refilled > 20  # the sequence exercised both transitions
 
 
 class TestSend:

@@ -223,16 +223,19 @@ class TestParseNst:
 class TestStrictYaml:
     def test_alias_rejected(self):
         # the anchor definition trips first; a bare alias cannot parse at all
-        with pytest.raises(DescriptorSyntaxError, match="anchor|alias"):
+        with pytest.raises(DescriptorSyntaxError, match="anchor|alias") as err:
             load_strict_yaml("a: &x 1\nb: *x\n")
+        assert err.value.line is not None and err.value.column is not None
 
     def test_anchor_rejected(self):
-        with pytest.raises(DescriptorSyntaxError, match="anchor|alias"):
+        with pytest.raises(DescriptorSyntaxError, match="anchor|alias") as err:
             load_strict_yaml("a: &x 1\n")
+        assert err.value.line is not None and err.value.column is not None
 
     def test_tag_rejected(self):
-        with pytest.raises(DescriptorSyntaxError, match="tag"):
+        with pytest.raises(DescriptorSyntaxError, match="tag") as err:
             load_strict_yaml("a: !!str 1\n")
+        assert err.value.line is not None and err.value.column is not None
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(DescriptorSyntaxError, match="duplicate mapping key"):

@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import create_vpn_instance, make_orchestrator, peer_gateways
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
 from slicevpn.lifecycle import Actor
-from slicevpn.store import Store, StoreError
+from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
 from slicevpn.transport import Endpoint
 
 
@@ -78,6 +83,12 @@ class TestRoundTrip:
         second = create_vpn_instance(orch)
         assert second == "ns-2"
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        store = build_and_save(tmp_path / "s")
+        first = (tmp_path / "s" / STATE_FILE).read_bytes()
+        store.save(store.load())
+        assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
+
     def test_peer_with_no_prefixes_survives_reload(self, tmp_path):
         from slicevpn.cryptokey import generate_keypair
         from slicevpn.lifecycle import ADMIN
@@ -119,3 +130,40 @@ class TestLocking:
         (root / "state.json").write_text("{nope")
         with pytest.raises(StoreError, match="corrupt state"):
             Store(root).load()
+        # valid JSON that is not a store document
+        (root / "state.json").write_text("{}")
+        with pytest.raises(StoreError, match="corrupt state"):
+            Store(root).load()
+        # a well-formed store whose clock is not a fraction string
+        build_and_save(tmp_path / "good")
+        state = json.loads((tmp_path / "good" / "state.json").read_text())
+        for clock in ("x", "1/0", 5):
+            state["vim"]["clock"] = clock
+            (root / "state.json").write_text(json.dumps(state))
+            with pytest.raises(StoreError, match="corrupt state"):
+                Store(root).load()
+
+    def test_lock_survives_sigkill_of_holder(self, tmp_path):
+        root = tmp_path / "s"
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from slicevpn.store import Store\n"
+             "with Store(sys.argv[1]).lock():\n"
+             "    print('locked', flush=True)\n"
+             "    time.sleep(60)\n",
+             str(root)],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            with pytest.raises(StoreError, match="in use"):
+                with Store(root).lock():
+                    pass
+        finally:
+            holder.kill()  # SIGKILL: no cleanup runs in the holder
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        assert (root / LOCK_FILE).exists()  # the killed holder left its lock file
+        with Store(root).lock():
+            pass  # the kernel released the lock with the process
