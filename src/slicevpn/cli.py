@@ -257,18 +257,15 @@ def cmd_slice_create(orch, args) -> int:
     return 0
 
 
+def _emit_report(args, record):
+    """A KPI or benchmark report: its text, or its machine record as JSON."""
+    rep = report(record)
+    _emit(args, dict(line.split("=", 1) for line in rep.machine.splitlines()), rep.text)
+
+
 def cmd_kpi(orch, args) -> int:
     instance = orch.ns_show(orch.actor(args.actor), args.instance)
-    record = measure_kpis(instance)
-    rep = report(record)
-    if args.json:
-        obj = {"opd_s": format_seconds(record.opd_s), "dpd_s": format_seconds(record.dpd_s),
-               "total_s": format_seconds(record.total_s)}
-        for name, duration in sorted(record.per_action.items()):
-            obj[f"action.{name}"] = format_seconds(duration)
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(rep.text)
+    _emit_report(args, measure_kpis(instance))
     return 0
 
 
@@ -280,12 +277,7 @@ def cmd_bench(orch, args) -> int:
         result = run_throughput(pair, args.duration, args.payload_size)
     else:
         result = run_latency(pair, args.requests, args.timeout)
-    rep = report(result)
-    if args.json:
-        print(json.dumps(dict(line.split("=", 1) for line in rep.machine.splitlines()),
-                         sort_keys=True))
-    else:
-        print(rep.text)
+    _emit_report(args, result)
     return 0
 
 

@@ -178,8 +178,9 @@ class ValidationReport:
 
 
 class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects aliases, anchors, explicit tags, and duplicate
-    mapping keys while it composes, so a document is scanned once."""
+    """SafeLoader that rejects aliases, anchors and explicit tags while it
+    composes, and non-scalar or duplicate mapping keys while it constructs,
+    so a document is scanned once."""
 
     def compose_node(self, parent, index):
         event = self.peek_event()
@@ -197,9 +198,11 @@ class _StrictLoader(yaml.SafeLoader):
     def construct_mapping(self, node, deep=False):
         seen = set()
         for key_node, _ in node.value:
+            mark = key_node.start_mark
+            if not isinstance(key_node, yaml.ScalarNode):
+                raise DescriptorSyntaxError("mapping keys must be scalars", mark.line + 1, mark.column + 1)
             key = self.construct_object(key_node, deep=True)
             if key in seen:
-                mark = key_node.start_mark
                 raise DescriptorSyntaxError(
                     f"duplicate mapping key {key!r}", mark.line + 1, mark.column + 1
                 )

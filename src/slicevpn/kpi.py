@@ -8,16 +8,19 @@ simulated-clock quantities.
 
 Benchmarks drive real traffic through the live tunnel: every byte counted
 was sealed by one gateway table and authenticated by the other — there is no
-plaintext shortcut. Over the in-memory backend results are simulated and
-deterministic; over the UDP backend they are honest wall-clock measurements
-of this host, and absolute numbers carry no contract.
+plaintext shortcut. One single-threaded harness serves both backends; they
+differ only in the clock it reads (``TunnelPair.now``). Over the in-memory
+backend results are simulated and deterministic: an echo takes twice the
+one-way latency, and goodput is exactly one window of ``_WINDOW`` packets per
+data-plus-ack round trip, ``_WINDOW * payload * 8 / (2 * latency)`` bit/s.
+Over the UDP backend they are honest wall-clock measurements of this host,
+and absolute numbers carry no contract.
 """
 
 from __future__ import annotations
 
 import statistics
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +37,7 @@ from slicevpn.lifecycle import NetworkServiceInstance, Orchestrator
 from slicevpn.transport import Handle, InMemoryBackend
 from slicevpn.vimsim import format_seconds
 
-_ECHO = struct.Struct(">QQ")  # sequence number, send timestamp (ns)
+_ECHO = struct.Struct(">Q8x")  # sequence number, zero-padded to a 16-byte probe
 
 
 class KpiError(SliceVpnError):
@@ -181,112 +184,64 @@ class TunnelPair:
     def simulated(self) -> bool:
         return isinstance(self.backend, InMemoryBackend)
 
+    def now(self):
+        """The benchmark clock: the exact simulated time (a Fraction) on the
+        in-memory backend, wall time otherwise. Receives on the in-memory
+        backend never block; they advance this clock instead."""
+        return self.backend.clock.now if self.simulated else time.perf_counter()
+
 
 def _deliver(side: TunnelSide, packet: PlainPacket):
     envelope, endpoint = side.table.send(packet)
     side.handle.send(endpoint, envelope.to_bytes())
 
 
-def _reflect_one(side: TunnelSide, timeout_s: float | None) -> int:
-    """Receive one datagram on a side, authenticate it, and echo it back.
-    Returns the number of payload bytes reflected (0 on timeout/reject)."""
+def _open(side: TunnelSide, timeout_s) -> PlainPacket | None:
+    """Receive one datagram on a side and authenticate it: the inner packet,
+    or None on a receive timeout (an empty queue in the simulation) or a
+    datagram the table rejects."""
     datagram = side.handle.recv(timeout_s)
     if datagram is None:
-        return 0
+        return None
     try:
-        packet = side.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
+        return side.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
     except CryptokeyError:
-        return 0
-    reply = PlainPacket(src_ip=packet.dst_ip, dst_ip=packet.src_ip, payload=packet.payload)
-    _deliver(side, reply)
-    return len(packet.payload)
+        return None
 
 
-class _UdpReflector:
-    """Background echo service owning side B while a benchmark probes from A."""
-
-    def __init__(self, side: TunnelSide):
-        self.side = side
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        while not self._stop.is_set():
-            _reflect_one(self.side, timeout_s=0.05)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        self._thread.join()
-
-
-def _recv_matching(side: TunnelSide, seq: int, deadline: float) -> PlainPacket | None:
-    """Wait for the authenticated echo of a given sequence number."""
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
+def _echo(pair: TunnelPair, seq: int, t0, timeout_s: float) -> PlainPacket | None:
+    """One echo sent at t0, A -> B -> A and reflected inline at B: the reply
+    carrying seq, or None if the request or the reply is lost, rejected or
+    not back by t0 + timeout_s. Stale replies to earlier requests are skipped."""
+    _deliver(pair.a, PlainPacket(pair.a.inner_ip, pair.b.inner_ip, _ECHO.pack(seq)))
+    request = _open(pair.b, timeout_s)
+    if request is None:
+        return None
+    _deliver(pair.b, PlainPacket(request.dst_ip, request.src_ip, request.payload))
+    while (remaining := timeout_s - (pair.now() - t0)) > 0:
+        reply = _open(pair.a, remaining)
+        if reply is None:
             return None
-        datagram = side.handle.recv(remaining)
-        if datagram is None:
-            return None
-        try:
-            packet = side.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
-        except CryptokeyError:
-            continue
-        if len(packet.payload) >= _ECHO.size and _ECHO.unpack_from(packet.payload)[0] == seq:
-            return packet
-        # stale echo of an earlier probe: keep waiting
+        if len(reply.payload) >= _ECHO.size and _ECHO.unpack_from(reply.payload)[0] == seq:
+            return reply
+    return None
 
 
 def run_latency(pair: TunnelPair, n_requests: int, timeout_s: float = 2.0) -> BenchResult:
     """Round-trip n echo requests through the tunnel, one at a time."""
-    if pair.simulated:
-        return _run_latency_sim(pair, n_requests)
     samples_ms: list[float] = []
     timeouts = 0
     bytes_ok = 0
-    started = time.perf_counter()
-    with _UdpReflector(pair.b):
-        for seq in range(n_requests):
-            payload = _ECHO.pack(seq, time.perf_counter_ns())
-            t0 = time.perf_counter()
-            _deliver(pair.a, PlainPacket(pair.a.inner_ip, pair.b.inner_ip, payload))
-            packet = _recv_matching(pair.a, seq, t0 + timeout_s)
-            if packet is None:
-                timeouts += 1
-                continue
-            samples_ms.append((time.perf_counter() - t0) * 1000.0)
-            bytes_ok += len(packet.payload)
-    duration = time.perf_counter() - started
-    return BenchResult.from_latency_samples(samples_ms, timeouts, bytes_ok, duration)
-
-
-def _run_latency_sim(pair: TunnelPair, n_requests: int) -> BenchResult:
-    clock = pair.backend.clock
-    samples_ms: list[float] = []
-    timeouts = 0
-    bytes_ok = 0
-    started = clock.now
+    started = pair.now()
     for seq in range(n_requests):
-        payload = _ECHO.pack(seq, 0)
-        t0 = clock.now
-        _deliver(pair.a, PlainPacket(pair.a.inner_ip, pair.b.inner_ip, payload))
-        _reflect_one(pair.b, None)
-        datagram = pair.a.handle.recv(None)
-        if datagram is None:
+        t0 = pair.now()
+        reply = _echo(pair, seq, t0, timeout_s)
+        if reply is None:
             timeouts += 1
             continue
-        try:
-            packet = pair.a.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
-        except CryptokeyError:
-            timeouts += 1
-            continue
-        samples_ms.append(float((clock.now - t0) * 1000))
-        bytes_ok += len(packet.payload)
-    duration = float(clock.now - started)
+        samples_ms.append(float(pair.now() - t0) * 1000.0)
+        bytes_ok += len(reply.payload)
+    duration = float(pair.now() - started)
     return BenchResult.from_latency_samples(samples_ms, timeouts, bytes_ok, duration)
 
 
@@ -301,90 +256,37 @@ def _probe(pair: TunnelPair):
 
 
 _WINDOW = 8  # packets per burst; bursts must fit the receive buffer or they drop
+_WAIT_S = 0.2  # wall-clock wait for each datagram of a window and for its ack
 
 
 def run_throughput(pair: TunnelPair, duration_s: float = 10.0,
                    payload_size: int = 8192) -> BenchResult:
-    """Stream traffic one way through the tunnel at the maximum sustainable
-    rate and report the authenticated goodput at the receiver.
+    """Stream traffic one way through the tunnel and report the authenticated
+    goodput at the receiver.
 
-    The sender self-clocks on small authenticated acks (one per window), so
-    goodput measures the datapath instead of kernel buffer drop patterns;
-    a lost ack only stalls one window until the retry timer fires.
+    A sends a window of _WINDOW packets, B receives them and answers with
+    one authenticated ack, and A waits for the ack before the next window,
+    so goodput measures the datapath instead of kernel buffer drop patterns.
+    A lost ack costs one wait; a window that delivers nothing ends the run.
     """
     _probe(pair)
-    payload = bytes(payload_size)
-    if pair.simulated:
-        return _run_throughput_sim(pair, duration_s, payload)
-
-    stop = threading.Event()
-    packet = PlainPacket(pair.a.inner_ip, pair.b.inner_ip, payload)
-
-    def pump():
-        while not stop.is_set():
-            for _ in range(_WINDOW):
-                _deliver(pair.a, packet)
-            while not stop.is_set():
-                datagram = pair.a.handle.recv(0.2)
-                if datagram is None:
-                    break  # ack lost; optimistically send the next window
-                try:
-                    pair.a.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
-                    break
-                except CryptokeyError:
-                    continue
-
-    received = 0
-    since_ack = 0
-    ack = PlainPacket(pair.b.inner_ip, pair.a.inner_ip, b"ack")
-    sender = threading.Thread(target=pump, daemon=True)
-    started = time.perf_counter()
-    deadline = started + duration_s
-    sender.start()
-    try:
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            datagram = pair.b.handle.recv(min(remaining, 0.05))
-            if datagram is None:
-                continue
-            try:
-                pkt = pair.b.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
-            except CryptokeyError:
-                continue
-            received += len(pkt.payload)
-            since_ack += 1
-            if since_ack >= _WINDOW:
-                since_ack = 0
-                _deliver(pair.b, ack)
-    finally:
-        stop.set()
-        sender.join()
-    elapsed = time.perf_counter() - started
-    return BenchResult(kind="throughput", bytes_transferred=received, duration_s=elapsed)
-
-
-def _run_throughput_sim(pair: TunnelPair, duration_s: float, payload: bytes) -> BenchResult:
-    backend = pair.backend
-    if backend.latency_s <= 0:
+    if pair.simulated and pair.backend.latency_s <= 0:
         raise KpiError("simulated throughput needs a backend latency > 0 to carry time")
-    clock = backend.clock
-    started = clock.now
-    deadline = started + Fraction(duration_s)
+    packet = PlainPacket(pair.a.inner_ip, pair.b.inner_ip, bytes(payload_size))
+    ack = PlainPacket(pair.b.inner_ip, pair.a.inner_ip, b"ack")
     received = 0
-    packet = PlainPacket(pair.a.inner_ip, pair.b.inner_ip, payload)
-    while clock.now < deadline:
-        _deliver(pair.a, packet)
-        datagram = pair.b.handle.recv(None)
-        if datagram is None:
+    started = pair.now()
+    while pair.now() - started < duration_s:
+        for _ in range(_WINDOW):
+            _deliver(pair.a, packet)
+        window = [_open(pair.b, _WAIT_S) for _ in range(_WINDOW)]
+        delivered = sum(len(p.payload) for p in window if p is not None)
+        if not delivered:
             break
-        try:
-            pkt = pair.b.table.receive(EncryptedEnvelope.from_bytes(datagram.data), datagram.src)
-        except CryptokeyError:
-            continue
-        received += len(pkt.payload)
-    elapsed = float(clock.now - started)
+        received += delivered
+        _deliver(pair.b, ack)
+        _open(pair.a, _WAIT_S)
+    elapsed = float(pair.now() - started)
     return BenchResult(kind="throughput", bytes_transferred=received, duration_s=elapsed)
 
 

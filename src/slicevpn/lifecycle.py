@@ -407,7 +407,7 @@ class Orchestrator:
         instance.events.extend(sorted(prim_events, key=lambda e: (e.ts, e.message)))
         self._emit(instance, "VCA", "initial-config-complete")
 
-    def _gateway_vdu(self, instance: NetworkServiceInstance, record: VnfRecord):
+    def _gateway_vdu(self, record: VnfRecord):
         if not record.vdu_ids:
             raise LifecycleError(f"member {record.member_index} has no vdus")
         return self.vim.vdu(record.vdu_ids[0])
@@ -417,7 +417,7 @@ class Orchestrator:
             seed_hex = self._member_param(instance, record.member_index, "key-seed")
             seed = bytes.fromhex(seed_hex) if seed_hex else None
             keypair = generate_keypair(seed)
-            vdu = self._gateway_vdu(instance, record)
+            vdu = self._gateway_vdu(record)
             listen_iface_name = (self._member_param(instance, record.member_index, "listen-interface")
                                  or DEFAULT_LISTEN_INTERFACE)
             listen_iface = vdu.interface(listen_iface_name)
@@ -624,7 +624,6 @@ class Orchestrator:
                     raise LifecycleError(
                         f"nsd {nsd.id!r} exposes no connection point {ep.connection_point!r}")
                 record = ns_instance.record(cp.member_index)
-                vnfd = self.catalog.vnfd(record.vnfd_id)
                 for vdu_id in record.vdu_ids:
                     if self.vim.vdu(vdu_id).interface(cp.interface) is not None:
                         self.vim.attach_interface(vdu_id, f"sl-{link.name}", net_name)

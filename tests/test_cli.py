@@ -187,7 +187,8 @@ class TestJsonMode:
         record = json.loads(out)
         assert record["output"]["public-key"] == WEST_PUB
         status, out, _ = run_cli("--store", store, "--json", "kpi", "ns-1")
-        assert json.loads(out)["opd_s"] == "159"
+        assert out == ('{"action.get-public-key": "0", "dpd_s": "47", "opd_s": "159", '
+                       '"total_s": "206"}\n')
 
 
 class TestLifecycleOverCli:

@@ -241,6 +241,12 @@ class TestStrictYaml:
         with pytest.raises(DescriptorSyntaxError, match="duplicate mapping key"):
             load_strict_yaml("a: 1\na: 2\n")
 
+    @pytest.mark.parametrize("text", ["? [1]\n: 2\n", "? {a: 1}\n: 2\n"])
+    def test_non_scalar_key_rejected(self, text):
+        with pytest.raises(DescriptorSyntaxError, match="mapping keys must be scalars") as err:
+            load_strict_yaml(text)
+        assert (err.value.line, err.value.column) == (1, 3)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(DescriptorSyntaxError) as err:
             load_strict_yaml("a: [1, 2\nb: 3\n")

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import create_vpn_instance, make_orchestrator, peer_gateways
+from slicevpn.cryptokey import PlainPacket
 from slicevpn.kpi import (
+    _WINDOW,
     BenchResult,
     KpiError,
     KpiRecord,
@@ -14,8 +16,8 @@ from slicevpn.kpi import (
     run_throughput,
 )
 from slicevpn.lifecycle import ADMIN, NetworkServiceInstance
-from slicevpn.transport import UdpBackend
-from slicevpn.vimsim import TimingProfile, preinstalled_profile
+from slicevpn.transport import InMemoryBackend, UdpBackend
+from slicevpn.vimsim import SimClock, TimingProfile, preinstalled_profile
 
 
 def make_measured_instance(profile=None):
@@ -110,6 +112,16 @@ class TestLatency:
         assert result.timeouts > 0
         assert result.latency_count + result.timeouts == 40
 
+    def test_stale_echo_is_skipped(self):
+        latency = Fraction(1, 2000)
+        _, pair = make_pair(latency_s=latency)
+        stale = PlainPacket(pair.b.inner_ip, pair.a.inner_ip, b"reply to an earlier probe")
+        envelope, endpoint = pair.b.table.send(stale)
+        pair.b.handle.send(endpoint, envelope.to_bytes())  # queued at A before the run
+        result = run_latency(pair, 1)
+        assert result.latency_count == 1 and result.timeouts == 0
+        assert result.latency_min_ms == float(2 * latency * 1000)
+
     def test_unpeered_tunnel_raises_on_probe(self):
         orch = make_orchestrator()
         instance_id = create_vpn_instance(orch)  # no add-peer calls
@@ -125,6 +137,22 @@ class TestThroughput:
         second = run_throughput(pair, duration_s=0.4, payload_size=1024)
         assert first.bytes_transferred > 0
         assert abs(first.throughput_bps - second.throughput_bps) < 0.2 * first.throughput_bps
+
+    def test_sim_goodput_is_one_window_per_round_trip(self):
+        latency, payload = Fraction(1, 1000), 1024
+        _, pair = make_pair(latency_s=latency)
+        result = run_throughput(pair, duration_s=0.2, payload_size=payload)
+        windows, rest = divmod(result.bytes_transferred, _WINDOW * payload)
+        assert windows > 0 and rest == 0
+        assert result.duration_s == float(windows * 2 * latency)
+        assert result.throughput_bps == pytest.approx(_WINDOW * payload * 8 / (2 * latency))
+
+    def test_lossy_sim_run_lasts_its_duration(self):
+        backend = InMemoryBackend(SimClock(), latency_s=Fraction(1, 1000), loss_rate=0.3, seed=5)
+        _, pair = make_pair(backend=backend)
+        result = run_throughput(pair, duration_s=0.2, payload_size=1024)
+        assert result.duration_s >= 0.2
+        assert result.bytes_transferred > 0
 
     def test_sim_requires_latency(self):
         _, pair = make_pair(latency_s=0)
