@@ -66,6 +66,9 @@ class BenchResult:
     latency_max_ms: float = 0.0
     latency_stddev_ms: float = 0.0
     timeouts: int = 0
+    latency_p50_ms: float = 0.0
+    latency_p90_ms: float = 0.0
+    latency_p99_ms: float = 0.0
 
     @property
     def throughput_bps(self) -> float:
@@ -76,6 +79,9 @@ class BenchResult:
     @classmethod
     def from_latency_samples(cls, samples_ms: list[float], timeouts: int,
                              bytes_transferred: int, duration_s: float) -> "BenchResult":
+        # percentile q is cuts[q - 1], interpolated linearly between samples
+        cuts = (statistics.quantiles(samples_ms, n=100, method="inclusive") if len(samples_ms) > 1
+                else (samples_ms or [0.0]) * 99)
         return cls(
             kind="latency",
             bytes_transferred=bytes_transferred,
@@ -86,6 +92,9 @@ class BenchResult:
             latency_max_ms=max(samples_ms) if samples_ms else 0.0,
             latency_stddev_ms=statistics.stdev(samples_ms) if len(samples_ms) > 1 else 0.0,
             timeouts=timeouts,
+            latency_p50_ms=cuts[49],
+            latency_p90_ms=cuts[89],
+            latency_p99_ms=cuts[98],
         )
 
 
@@ -274,9 +283,12 @@ def run_throughput(pair: TunnelPair, duration_s: float = 10.0,
         raise KpiError("simulated throughput needs a backend latency > 0 to carry time")
     packet = PlainPacket(pair.a.inner_ip, pair.b.inner_ip, bytes(payload_size))
     ack = PlainPacket(pair.b.inner_ip, pair.a.inner_ip, b"ack")
+    # the exact sim clock against the decimal duration: Fraction(0.2) > 1/5
+    # would run one window past 0.2 s
+    limit = Fraction(str(duration_s)) if pair.simulated else duration_s
     received = 0
     started = pair.now()
-    while pair.now() - started < duration_s:
+    while pair.now() - started < limit:
         for _ in range(_WINDOW):
             _deliver(pair.a, packet)
         window = [_open(pair.b, _WAIT_S) for _ in range(_WINDOW)]
@@ -332,6 +344,9 @@ def report(record: KpiRecord | BenchResult) -> Report:
             "  latency mean/min/max/stddev: "
             f"{_fmt_ms(record.latency_mean_ms)}/{_fmt_ms(record.latency_min_ms)}/"
             f"{_fmt_ms(record.latency_max_ms)}/{_fmt_ms(record.latency_stddev_ms)} ms",
+            "  latency p50/p90/p99: "
+            f"{_fmt_ms(record.latency_p50_ms)}/{_fmt_ms(record.latency_p90_ms)}/"
+            f"{_fmt_ms(record.latency_p99_ms)} ms",
         ]
         machine = [
             f"kind={record.kind}",
@@ -344,6 +359,9 @@ def report(record: KpiRecord | BenchResult) -> Report:
             f"latency_min_ms={_fmt_ms(record.latency_min_ms)}",
             f"latency_max_ms={_fmt_ms(record.latency_max_ms)}",
             f"latency_stddev_ms={_fmt_ms(record.latency_stddev_ms)}",
+            f"latency_p50_ms={_fmt_ms(record.latency_p50_ms)}",
+            f"latency_p90_ms={_fmt_ms(record.latency_p90_ms)}",
+            f"latency_p99_ms={_fmt_ms(record.latency_p99_ms)}",
         ]
         return Report("\n".join(lines), "\n".join(machine))
     raise KpiError(f"cannot report a {type(record).__name__}")

@@ -7,8 +7,14 @@ same clock. Gateway private keys live in this state file (it is the
 artifact's disk, like a real gateway's config directory) and are never
 echoed into reports, logs, or command output.
 
-Saving writes ``state.json`` as compact, key-sorted JSON and rewrites a
-catalog file only when its descriptor differs from the one that was loaded.
+Loading decodes the VIM, counters, actors and slices up front, but an
+instance only when a command first reads it (``LazyInstances``), so a
+command's decode cost follows the instances it touches, not the store's
+size. Saving writes ``state.json`` as compact, key-sorted JSON: an untouched
+instance's document goes back as it was loaded, and a catalog file is
+rewritten only when its descriptor differs from the one that was loaded. A
+corrupt instance document fails only the commands that touch it, and
+``--backend udp`` binds only the touched instances' gateway sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -21,6 +27,7 @@ import fcntl
 import ipaddress
 import json
 import os
+from collections.abc import MutableMapping
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -242,7 +249,90 @@ def _vim_from_doc(doc: dict) -> Vim:
     return vim
 
 
-def _orchestrator_from_doc(state: dict, backend) -> Orchestrator:
+def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecord]]:
+    """The instance, and the gateway records that were bound when it was saved."""
+    instance = NetworkServiceInstance(
+        id=doc["id"],
+        nsd_id=doc["nsd-id"],
+        state=doc["state"],
+        released=doc["released"],
+        wall_seconds=doc.get("wall-seconds", 0.0),
+        params=dict(doc["params"]),
+        networks=dict(doc["networks"]),
+        profile=_profile_from_doc(doc["profile"]),
+        events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
+    )
+    bound_records = []
+    for rdoc in doc["vnf-records"]:
+        record, bound = _record_from_doc(rdoc)
+        if bound and record.table is not None:
+            bound_records.append(record)
+        instance.vnf_records.append(record)
+    return instance, bound_records
+
+
+# what decoding a malformed document raises
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+
+
+class LazyInstances(MutableMapping):
+    """``Orchestrator.instances`` for a loaded store: instance id to
+    instance, in state-file order. An instance stays the JSON document it
+    was loaded as until it is first read; only then are its tables, events
+    and primitives decoded and its bound gateways re-bound on the backend.
+
+    Holds the backend and the state path, never the orchestrator, so that
+    dropping the orchestrator frees the loaded documents without waiting
+    for the cycle collector.
+    """
+
+    def __init__(self, docs: list[dict], backend, state_path: Path):
+        # id -> the document as loaded, or the instance once decoded or created
+        self._entries: dict[str, dict | NetworkServiceInstance] = {doc["id"]: doc for doc in docs}
+        self._backend = backend
+        self._state_path = state_path
+
+    def __getitem__(self, instance_id: str) -> NetworkServiceInstance:
+        entry = self._entries[instance_id]
+        if isinstance(entry, dict):
+            entry = self._entries[instance_id] = self._decode(instance_id, entry)
+        return entry
+
+    def __setitem__(self, instance_id: str, instance: NetworkServiceInstance):
+        self._entries[instance_id] = instance
+
+    def __delitem__(self, instance_id: str):
+        del self._entries[instance_id]
+
+    def __contains__(self, instance_id) -> bool:
+        return instance_id in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def documents(self) -> list[dict]:
+        """Every instance's state document; an untouched one as loaded."""
+        return [entry if isinstance(entry, dict) else _instance_to_doc(entry)
+                for entry in self._entries.values()]
+
+    def _decode(self, instance_id: str, doc: dict) -> NetworkServiceInstance:
+        # a StoreError, never a KeyError: Mapping.get would report a corrupt
+        # instance as a missing one
+        try:
+            instance, bound_records = _instance_from_doc(doc)
+        except _DECODE_ERRORS as exc:
+            raise StoreError(f"corrupt state file {self._state_path}: instance {instance_id}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        # outside the try: an OSError from re-binding a socket is not a fault of the file
+        for record in bound_records:
+            record.handle = self._backend.bind(record.table.listen_endpoint, record.transport_scope)
+        return instance
+
+
+def _orchestrator_from_doc(state: dict, backend, state_path: Path) -> Orchestrator:
     orch = Orchestrator(
         vim=_vim_from_doc(state["vim"]), backend=backend,
         profile=_profile_from_doc(state["default-profile"]))
@@ -251,25 +341,7 @@ def _orchestrator_from_doc(state: dict, backend) -> Orchestrator:
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    for doc in state["instances"]:
-        instance = NetworkServiceInstance(
-            id=doc["id"],
-            nsd_id=doc["nsd-id"],
-            state=doc["state"],
-            released=doc["released"],
-            wall_seconds=doc.get("wall-seconds", 0.0),
-            params=dict(doc["params"]),
-            networks=dict(doc["networks"]),
-            profile=_profile_from_doc(doc["profile"]),
-            events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
-        )
-        for rdoc in doc["vnf-records"]:
-            record, bound = _record_from_doc(rdoc)
-            if bound and record.table is not None:
-                record.handle = orch.backend.bind(
-                    record.table.listen_endpoint, record.transport_scope)
-            instance.vnf_records.append(record)
-        orch.instances[instance.id] = instance
+    orch.instances = LazyInstances(state["instances"], orch.backend, state_path)
     for sdoc in state.get("slices", []):
         orch.slices[sdoc["id"]] = SliceInstance(
             id=sdoc["id"], nst_id=sdoc["nst-id"],
@@ -319,7 +391,8 @@ class Store:
                 {"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
                 for a in orch.actors.values()
             ],
-            "instances": [_instance_to_doc(i) for i in orch.instances.values()],
+            "instances": (orch.instances.documents() if isinstance(orch.instances, LazyInstances)
+                          else [_instance_to_doc(i) for i in orch.instances.values()]),
             "slices": [
                 {
                     "id": s.id,
@@ -336,8 +409,9 @@ class Store:
         os.replace(tmp, path)  # crash-safe swap
 
     def load(self, backend=None) -> Orchestrator:
-        """Rebuild the orchestrator; gateways that were bound re-bind their
-        listen endpoints on the supplied backend."""
+        """Rebuild the orchestrator. Instances are decoded on first access
+        (see ``LazyInstances``); gateways that were bound re-bind their
+        listen endpoints on the supplied backend then."""
         state_path = self.root / STATE_FILE
         if not state_path.exists():
             orch = Orchestrator(backend=backend)
@@ -346,11 +420,9 @@ class Store:
                 state = json.loads(state_path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {exc}") from exc
-            # decoding errors only: an OSError from re-binding a gateway's
-            # socket is not a fault of the file
             try:
-                orch = _orchestrator_from_doc(state, backend)
-            except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+                orch = _orchestrator_from_doc(state, backend, state_path)
+            except _DECODE_ERRORS as exc:
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)
         return orch

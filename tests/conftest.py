@@ -8,6 +8,7 @@ import pytest
 
 from slicevpn.descriptors import parse_descriptor
 from slicevpn.lifecycle import ADMIN, Orchestrator
+from slicevpn.store import Store
 from slicevpn.transport import InMemoryBackend
 from slicevpn.vimsim import SimClock, Vim
 
@@ -63,6 +64,16 @@ def peer_gateways(orch: Orchestrator, instance_id: str):
     second = orch.ns_action(ADMIN, instance_id, 2, "add-peer",
                             {"public-key": west, **EAST_PEER_PARAMS})
     return first, second
+
+
+def save_peered_store(root, count: int = 3) -> Store:
+    """A store of `count` peered wg-vpn instances, ns-1 .. ns-<count>."""
+    orch = make_orchestrator()
+    for _ in range(count):
+        peer_gateways(orch, create_vpn_instance(orch))
+    store = Store(root)
+    store.save(orch)
+    return store
 
 
 @pytest.fixture

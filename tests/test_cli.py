@@ -12,7 +12,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from conftest import save_peered_store
+from slicevpn import store as store_module
 from slicevpn.cli import main
+from slicevpn.cryptokey import generate_keypair
 from slicevpn.store import Store
 
 REPO = Path(__file__).resolve().parent.parent
@@ -220,6 +223,59 @@ class TestLifecycleOverCli:
         status, out, _ = run_cli("--store", store, "slice-create", "vpn-slice")
         assert status == 0
         assert "sl-1" in out and "ns-1" in out and "ns-2" in out
+
+
+def _instance_documents(root: Path) -> dict[str, dict]:
+    return {doc["id"]: doc for doc in json.loads((root / "state.json").read_text())["instances"]}
+
+
+class TestDecodeOnDemand:
+    """A command against a 3-instance store decodes only the instance it names."""
+
+    def test_kpi_decodes_only_its_instance(self, tmp_path, monkeypatch):
+        save_peered_store(tmp_path / "s")
+        decoded = []
+        decode = store_module._instance_from_doc
+
+        def spy(doc):
+            decoded.append(doc["id"])
+            return decode(doc)
+
+        monkeypatch.setattr(store_module, "_instance_from_doc", spy)
+        status, out, _ = run_cli("--store", str(tmp_path / "s"), "kpi", "ns-2")
+        assert status == 0 and "total: 266 s" in out
+        assert decoded == ["ns-2"]
+
+    def test_add_peer_writes_other_instances_back_as_loaded(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        before = _instance_documents(root)
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        status, _, _ = run_cli("--store", str(root), "ns-action", "ns-2", "1", "add-peer",
+                               "--param", f"public-key={third}", "--param", "allowed-ips=10.9.0.0/24")
+        assert status == 0
+        after = _instance_documents(root)
+        assert after["ns-2"] != before["ns-2"]
+        assert after["ns-1"] == before["ns-1"] and after["ns-3"] == before["ns-3"]
+
+    def test_corrupt_instance_fails_only_commands_that_touch_it(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        pristine = (root / "state.json").read_text()
+        corruptions = (
+            lambda doc: doc.update(events=5),  # TypeError while decoding
+            lambda doc: doc.pop("profile"),  # KeyError, which Mapping.get would swallow
+        )
+        for corrupt in corruptions:
+            state = json.loads(pristine)
+            corrupt(state["instances"][2])
+            (root / "state.json").write_text(json.dumps(state))
+            status, _, _ = run_cli("--store", str(root), "kpi", "ns-1")
+            assert status == 0
+            status, _, err = run_cli("--store", str(root), "kpi", "ns-3")
+            assert status == 1
+            assert err.startswith("error: corrupt state file") and err.count("\n") == 1
+            assert "ns-3" in err and "instance not found" not in err
 
 
 def test_console_script_entry_point():

@@ -147,6 +147,12 @@ class TestThroughput:
         assert result.duration_s == float(windows * 2 * latency)
         assert result.throughput_bps == pytest.approx(_WINDOW * payload * 8 / (2 * latency))
 
+    def test_sim_run_stops_at_its_decimal_duration(self):
+        # the float 0.2 is a little above 1/5; the run must not take one more window
+        for latency in (Fraction(1, 1000), Fraction(1, 2000)):
+            _, pair = make_pair(latency_s=latency)
+            assert run_throughput(pair, duration_s=0.2, payload_size=1024).duration_s == 0.2
+
     def test_lossy_sim_run_lasts_its_duration(self):
         backend = InMemoryBackend(SimClock(), latency_s=Fraction(1, 1000), loss_rate=0.3, seed=5)
         _, pair = make_pair(backend=backend)
@@ -193,6 +199,27 @@ class TestReport:
         rep = report(BenchResult(kind="latency", bytes_transferred=0, duration_s=0.0))
         assert "samples: 0" in rep.text
         assert "throughput_bps=0.000" in rep.machine
+
+    def test_latency_percentiles(self):
+        result = BenchResult.from_latency_samples([float(ms) for ms in range(1, 101)], 0, 1600, 1.0)
+        assert (result.latency_p50_ms, result.latency_p90_ms, result.latency_p99_ms) == \
+            pytest.approx((50.5, 90.1, 99.01))
+        single = BenchResult.from_latency_samples([3.0], 0, 16, 0.1)
+        assert single.latency_p50_ms == single.latency_p99_ms == 3.0
+        empty = BenchResult.from_latency_samples([], 1, 0, 0.1)
+        assert empty.latency_p50_ms == empty.latency_p99_ms == 0.0
+
+    def test_bench_report_field_order(self):
+        rep = report(BenchResult.from_latency_samples([1.0, 2.0, 4.0], 0, 48, 0.01))
+        assert [line.split("=")[0] for line in rep.machine.splitlines()] == [
+            "kind", "samples", "timeouts", "bytes", "duration_s", "throughput_bps",
+            "latency_mean_ms", "latency_min_ms", "latency_max_ms", "latency_stddev_ms",
+            "latency_p50_ms", "latency_p90_ms", "latency_p99_ms",
+        ]
+        assert rep.text.splitlines()[-2:] == [
+            "  latency mean/min/max/stddev: 2.333/1.000/4.000/1.528 ms",
+            "  latency p50/p90/p99: 2.000/3.600/3.960 ms",
+        ]
 
     def test_reports_are_reproducible(self):
         record = KpiRecord(opd_s=Fraction(57), dpd_s=Fraction(107),

@@ -1,11 +1,13 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from conftest import create_vpn_instance, make_orchestrator, peer_gateways
+from conftest import create_vpn_instance, make_orchestrator, peer_gateways, save_peered_store
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
 from slicevpn.lifecycle import Actor
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
@@ -88,6 +90,45 @@ class TestRoundTrip:
         first = (tmp_path / "s" / STATE_FILE).read_bytes()
         store.save(store.load())
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
+
+    def test_decoded_instances_save_byte_identical(self, tmp_path):
+        store = save_peered_store(tmp_path / "s")
+        first = (tmp_path / "s" / STATE_FILE).read_bytes()
+        orch = store.load()
+        orch.instances["ns-2"]  # one decoded, two written back as loaded
+        store.save(orch)
+        assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
+        orch = store.load()
+        assert [i.id for i in orch.instances.values()] == ["ns-1", "ns-2", "ns-3"]  # all decoded
+        store.save(orch)
+        assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
+
+    def test_only_touched_gateways_are_bound(self, tmp_path):
+        store = save_peered_store(tmp_path / "s")
+        state = json.loads((tmp_path / "s" / STATE_FILE).read_text())
+        ns2 = [(Endpoint.parse(r["table"]["listen-endpoint"]), r["transport-scope"])
+               for r in state["instances"][1]["vnf-records"] if r["bound"]]
+        assert len(ns2) == 2
+        orch = store.load()
+        orch.instances["ns-1"]
+        for endpoint, scope in ns2:  # still free: ns-2 was never decoded
+            orch.backend.bind(endpoint, scope).close()
+        bound = [r.handle for r in orch.instances["ns-2"].vnf_records if r.handle is not None]
+        assert len(bound) == 2 and not any(handle.closed for handle in bound)
+
+    def test_loaded_orchestrator_is_freed_without_the_cycle_collector(self, tmp_path):
+        # a reference cycle would keep every command's parsed state alive
+        # until a full collection, and raise the process's peak memory
+        store = save_peered_store(tmp_path / "s")
+        gc.disable()
+        try:
+            orch = store.load()
+            orch.instances["ns-1"]
+            dropped = weakref.ref(orch)
+            del orch
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_peer_with_no_prefixes_survives_reload(self, tmp_path):
         from slicevpn.cryptokey import generate_keypair
