@@ -21,7 +21,7 @@ from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_thro
 from slicevpn.lifecycle import export_event_log
 from slicevpn.store import Store
 from slicevpn.transport import UdpBackend
-from slicevpn.vimsim import format_seconds, load_timing_profile
+from slicevpn.vimsim import VimError, format_seconds, load_timing_profile
 
 DEFAULT_STORE = ".slicevpn"
 
@@ -225,15 +225,16 @@ def cmd_ns_show(orch, args) -> int:
     print("events:")
     for line in export_event_log(instance).splitlines():
         print(f"  {line}")
-    topo = orch.vim.topology()
-    nets = {n for n in instance.networks.values()}
     print("topology:")
-    for network in sorted(topo.networks, key=lambda n: n.name):
-        if network.name in nets:
-            print(f"  network {network.name} {network.cidr} allocations={len(network.allocations)}")
-    instance_vdus = {v for r in instance.vnf_records for v in r.vdu_ids}
-    for vdu in sorted(topo.vdus, key=lambda v: v.id):
-        if vdu.id in instance_vdus:
+    for name in sorted(set(instance.networks.values())):
+        try:
+            network = orch.vim.network(name)
+        except VimError:
+            continue  # released with the instance
+        print(f"  network {network.name} {network.cidr} allocations={len(network.allocations)}")
+    for vdu_id in sorted({v for r in instance.vnf_records for v in r.vdu_ids}):
+        vdu = orch.vim.vdu(vdu_id)
+        if vdu.state != "Terminated":
             ifaces = ",".join(f"{i.name}:{i.ip}" for i in vdu.interfaces)
             fwd = "on" if vdu.forwarding_enabled else "off"
             print(f"  vdu {vdu.id} image={vdu.image} state={vdu.state} "

@@ -7,14 +7,16 @@ same clock. Gateway private keys live in this state file (it is the
 artifact's disk, like a real gateway's config directory) and are never
 echoed into reports, logs, or command output.
 
-Loading decodes the VIM, counters, actors and slices up front, but an
-instance only when a command first reads it (``LazyInstances``), so a
-command's decode cost follows the instances it touches, not the store's
-size. Saving writes ``state.json`` as compact, key-sorted JSON: an untouched
-instance's document goes back as it was loaded, and a catalog file is
-rewritten only when its descriptor differs from the one that was loaded. A
-corrupt instance document fails only the commands that touch it, and
-``--backend udp`` binds only the touched instances' gateway sockets.
+Loading parses ``state.json`` but decodes nothing a command does not read:
+each instance, VIM network and VIM VDU stays the JSON document it was
+loaded as, and each catalog file stays unparsed, until a command first looks
+it up (``LazyDocuments``). A command's decode cost therefore follows what it
+touches, not the store's size. Saving writes ``state.json`` as compact,
+key-sorted JSON, with every untouched document written back as it was
+loaded, and writes a catalog file only for a descriptor that was onboarded
+since loading. A corrupt instance, network or VDU document, or a corrupt
+catalog file, fails only the commands that touch it, and ``--backend udp``
+binds only the touched instances' gateway sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -24,16 +26,17 @@ kernel drops it when its holder exits, even by ``kill -9``.
 from __future__ import annotations
 
 import fcntl
+import functools
 import ipaddress
 import json
 import os
-from collections.abc import MutableMapping
+from collections.abc import Callable, Mapping, MutableMapping
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, generate_keypair
-from slicevpn.descriptors import Descriptor, parse_descriptor, serialize_descriptor
+from slicevpn.descriptors import Descriptor, DescriptorError, parse_descriptor, serialize_descriptor
 from slicevpn.errors import SliceVpnError
 from slicevpn.lifecycle import (
     Actor,
@@ -184,69 +187,19 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
 
 
 def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
+    # wall_seconds is not saved: it is a wall-clock span, and the same
+    # command sequence must leave the same state file
     return {
         "id": instance.id,
         "nsd-id": instance.nsd_id,
         "state": instance.state,
         "released": instance.released,
-        "wall-seconds": instance.wall_seconds,
         "params": instance.params,
         "networks": instance.networks,
         "profile": _profile_to_doc(instance.profile),
         "events": [[_frac(e.ts), e.source, e.message] for e in instance.events],
         "vnf-records": [_record_to_doc(r) for r in instance.vnf_records],
     }
-
-
-def _vim_to_doc(vim: Vim) -> dict:
-    return {
-        "clock": _frac(vim.clock.now),
-        "next-vdu": vim._next_vdu,
-        "networks": [
-            {
-                "name": n.name,
-                "cidr": str(n.cidr),
-                "allocations": {ref: str(ip) for ref, ip in n.allocations.items()},
-            }
-            for n in vim._networks.values()
-        ],
-        "vdus": [
-            {
-                "id": v.id,
-                "image": v.image,
-                "state": v.state,
-                "interfaces": [[i.name, i.network, i.ip] for i in v.interfaces],
-                "installed-packages": sorted(v.installed_packages),
-                "boot-started-at": _frac(v.boot_started_at),
-                "ready-at": _frac(v.ready_at),
-                "forwarding-enabled": v.forwarding_enabled,
-            }
-            for v in vim._vdus.values()
-        ],
-    }
-
-
-def _vim_from_doc(doc: dict) -> Vim:
-    vim = Vim(SimClock(_unfrac(doc["clock"])))
-    vim._next_vdu = doc["next-vdu"]
-    for n in doc["networks"]:
-        network = VirtualNetwork(name=n["name"], cidr=ipaddress.IPv4Network(n["cidr"]))
-        network.allocations = {
-            ref: ipaddress.IPv4Address(ip) for ref, ip in n["allocations"].items()
-        }
-        vim._networks[n["name"]] = network
-    for v in doc["vdus"]:
-        vim._vdus[v["id"]] = VduInstance(
-            id=v["id"],
-            image=v["image"],
-            state=v["state"],
-            interfaces=tuple(VduInterface(*i) for i in v["interfaces"]),
-            installed_packages=frozenset(v["installed-packages"]),
-            boot_started_at=_unfrac(v["boot-started-at"]),
-            ready_at=_unfrac(v["ready-at"]),
-            forwarding_enabled=v["forwarding-enabled"],
-        )
-    return vim
 
 
 def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecord]]:
@@ -271,41 +224,118 @@ def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecor
     return instance, bound_records
 
 
-# what decoding a malformed document raises
-_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+def _decode_instance(doc: dict, backend) -> NetworkServiceInstance:
+    """The instance, with the gateways that were bound when it was saved
+    re-bound on `backend`."""
+    instance, bound_records = _instance_from_doc(doc)
+    for record in bound_records:
+        record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
+    return instance
 
 
-class LazyInstances(MutableMapping):
-    """``Orchestrator.instances`` for a loaded store: instance id to
-    instance, in state-file order. An instance stays the JSON document it
-    was loaded as until it is first read; only then are its tables, events
-    and primitives decoded and its bound gateways re-bound on the backend.
+def _network_to_doc(network: VirtualNetwork) -> dict:
+    return {
+        "name": network.name,
+        "cidr": str(network.cidr),
+        "allocations": {ref: str(ip) for ref, ip in network.allocations.items()},
+    }
 
-    Holds the backend and the state path, never the orchestrator, so that
-    dropping the orchestrator frees the loaded documents without waiting
-    for the cycle collector.
+
+def _network_from_doc(doc: dict) -> VirtualNetwork:
+    return VirtualNetwork(
+        name=doc["name"],
+        cidr=ipaddress.IPv4Network(doc["cidr"]),
+        allocations={ref: ipaddress.IPv4Address(ip) for ref, ip in doc["allocations"].items()},
+    )
+
+
+def _vdu_to_doc(vdu: VduInstance) -> dict:
+    return {
+        "id": vdu.id,
+        "image": vdu.image,
+        "state": vdu.state,
+        "interfaces": [[i.name, i.network, i.ip] for i in vdu.interfaces],
+        "installed-packages": sorted(vdu.installed_packages),
+        "boot-started-at": _frac(vdu.boot_started_at),
+        "ready-at": _frac(vdu.ready_at),
+        "forwarding-enabled": vdu.forwarding_enabled,
+    }
+
+
+def _vdu_from_doc(doc: dict) -> VduInstance:
+    return VduInstance(
+        id=doc["id"],
+        image=doc["image"],
+        state=doc["state"],
+        interfaces=tuple(VduInterface(*i) for i in doc["interfaces"]),
+        installed_packages=frozenset(doc["installed-packages"]),
+        boot_started_at=_unfrac(doc["boot-started-at"]),
+        ready_at=_unfrac(doc["ready-at"]),
+        forwarding_enabled=doc["forwarding-enabled"],
+    )
+
+
+def _vim_to_doc(vim: Vim) -> dict:
+    return {
+        "clock": _frac(vim.clock.now),
+        "next-vdu": vim._next_vdu,
+        "networks": _documents(vim._networks, _network_to_doc),
+        "vdus": _documents(vim._vdus, _vdu_to_doc),
+    }
+
+
+def _catalog_name(kind: str, id_: str) -> str:
+    return f"{kind}-{id_}.yaml"
+
+
+# what decoding a malformed document or catalog file raises
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+                  DescriptorError)
+
+
+class LazyDocuments(MutableMapping):
+    """A mapping whose loaded entries stay the documents they were loaded
+    as until first read; only then does ``decode`` turn one into its
+    object. ``Store.load`` keeps the instances, the VIM's networks and VDUs,
+    and the catalog in these, so a command decodes only what it touches.
+
+    A malformed document raises ``StoreError`` naming ``describe(key)``,
+    never a ``KeyError``, which ``Mapping.get`` would report as a missing
+    entry. An error that is not the document's fault, such as an ``OSError``
+    from re-binding a gateway socket, passes through. The mapping holds its
+    documents and callables, never the orchestrator, so that dropping the
+    orchestrator frees the loaded documents without the cycle collector.
     """
 
-    def __init__(self, docs: list[dict], backend, state_path: Path):
-        # id -> the document as loaded, or the instance once decoded or created
-        self._entries: dict[str, dict | NetworkServiceInstance] = {doc["id"]: doc for doc in docs}
-        self._backend = backend
-        self._state_path = state_path
+    def __init__(self, docs: dict, decode: Callable, describe: Callable[[object], str]):
+        # key -> the document as loaded, or the object once decoded or set
+        self._entries = docs
+        self._undecoded = set(docs)
+        self._decode = decode
+        self._describe = describe
 
-    def __getitem__(self, instance_id: str) -> NetworkServiceInstance:
-        entry = self._entries[instance_id]
-        if isinstance(entry, dict):
-            entry = self._entries[instance_id] = self._decode(instance_id, entry)
+    def __getitem__(self, key):
+        entry = self._entries[key]
+        if key in self._undecoded:
+            try:
+                entry = self._decode(entry)
+            except _DECODE_ERRORS as exc:
+                raise StoreError(f"corrupt {self._describe(key)}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+            self._entries[key] = entry
+            self._undecoded.discard(key)
         return entry
 
-    def __setitem__(self, instance_id: str, instance: NetworkServiceInstance):
-        self._entries[instance_id] = instance
+    def __setitem__(self, key, value):
+        self._entries[key] = value
+        self._undecoded.discard(key)
 
-    def __delitem__(self, instance_id: str):
-        del self._entries[instance_id]
+    def __delitem__(self, key):
+        del self._entries[key]
+        self._undecoded.discard(key)
 
-    def __contains__(self, instance_id) -> bool:
-        return instance_id in self._entries
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     def __iter__(self):
         return iter(self._entries)
@@ -313,35 +343,44 @@ class LazyInstances(MutableMapping):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def documents(self) -> list[dict]:
-        """Every instance's state document; an untouched one as loaded."""
-        return [entry if isinstance(entry, dict) else _instance_to_doc(entry)
-                for entry in self._entries.values()]
+    def documents(self, encode: Callable) -> list:
+        """Every entry's document, in order: an undecoded one as loaded,
+        the others through ``encode``."""
+        return [entry if key in self._undecoded else encode(entry)
+                for key, entry in self._entries.items()]
 
-    def _decode(self, instance_id: str, doc: dict) -> NetworkServiceInstance:
-        # a StoreError, never a KeyError: Mapping.get would report a corrupt
-        # instance as a missing one
-        try:
-            instance, bound_records = _instance_from_doc(doc)
-        except _DECODE_ERRORS as exc:
-            raise StoreError(f"corrupt state file {self._state_path}: instance {instance_id}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        # outside the try: an OSError from re-binding a socket is not a fault of the file
-        for record in bound_records:
-            record.handle = self._backend.bind(record.table.listen_endpoint, record.transport_scope)
-        return instance
+    def decoded(self) -> list[tuple]:
+        """The (key, object) pairs decoded or set since loading, in order."""
+        return [(key, entry) for key, entry in self._entries.items()
+                if key not in self._undecoded]
+
+
+def _documents(entries: Mapping, encode: Callable) -> list:
+    if isinstance(entries, LazyDocuments):
+        return entries.documents(encode)
+    return [encode(value) for value in entries.values()]
+
+
+def _lazy(docs: list[dict], key: str, decode: Callable, where: str) -> LazyDocuments:
+    """`docs` keyed by their `key` field, each decoded on first read."""
+    return LazyDocuments({doc[key]: doc for doc in docs}, decode, lambda k: f"{where} {k}")
 
 
 def _orchestrator_from_doc(state: dict, backend, state_path: Path) -> Orchestrator:
-    orch = Orchestrator(
-        vim=_vim_from_doc(state["vim"]), backend=backend,
-        profile=_profile_from_doc(state["default-profile"]))
+    where = f"state file {state_path}:"
+    vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
+    vim._next_vdu = state["vim"]["next-vdu"]
+    vim._networks = _lazy(state["vim"]["networks"], "name", _network_from_doc, f"{where} network")
+    vim._vdus = _lazy(state["vim"]["vdus"], "id", _vdu_from_doc, f"{where} vdu")
+    orch = Orchestrator(vim=vim, backend=backend, profile=_profile_from_doc(state["default-profile"]))
     orch._next_ns = state["next-ns"]
     orch._next_slice = state["next-slice"]
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    orch.instances = LazyInstances(state["instances"], orch.backend, state_path)
+    orch.instances = _lazy(state["instances"], "id",
+                           functools.partial(_decode_instance, backend=orch.backend),
+                           f"{where} instance")
     for sdoc in state.get("slices", []):
         orch.slices[sdoc["id"]] = SliceInstance(
             id=sdoc["id"], nst_id=sdoc["nst-id"],
@@ -375,8 +414,11 @@ class Store:
         self.root.mkdir(parents=True, exist_ok=True)
         catalog_dir = self.root / CATALOG_DIR
         catalog_dir.mkdir(exist_ok=True)
-        for descriptor in orch.catalog.descriptors():
-            name = f"{descriptor.kind}-{descriptor.id}.yaml"
+        entries = orch.catalog._entries
+        # an entry not read since loading is still its file, unchanged
+        read = entries.decoded() if isinstance(entries, LazyDocuments) else entries.items()
+        for (kind, id_), descriptor in read:
+            name = _catalog_name(kind, id_)
             if self._catalog_files.get(name) != descriptor:
                 (catalog_dir / name).write_text(serialize_descriptor(descriptor), encoding="utf-8")
                 self._catalog_files[name] = descriptor
@@ -391,8 +433,7 @@ class Store:
                 {"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
                 for a in orch.actors.values()
             ],
-            "instances": (orch.instances.documents() if isinstance(orch.instances, LazyInstances)
-                          else [_instance_to_doc(i) for i in orch.instances.values()]),
+            "instances": _documents(orch.instances, _instance_to_doc),
             "slices": [
                 {
                     "id": s.id,
@@ -409,9 +450,10 @@ class Store:
         os.replace(tmp, path)  # crash-safe swap
 
     def load(self, backend=None) -> Orchestrator:
-        """Rebuild the orchestrator. Instances are decoded on first access
-        (see ``LazyInstances``); gateways that were bound re-bind their
-        listen endpoints on the supplied backend then."""
+        """Rebuild the orchestrator. Instances, VIM entries and catalog
+        descriptors are decoded on first access (see ``LazyDocuments``); an
+        instance's gateways that were bound re-bind their listen endpoints
+        on the supplied backend then."""
         state_path = self.root / STATE_FILE
         if not state_path.exists():
             orch = Orchestrator(backend=backend)
@@ -431,7 +473,17 @@ class Store:
         catalog_dir = self.root / CATALOG_DIR
         if not catalog_dir.is_dir():
             return
+        # a file's name is its descriptor's (kind, id), so a lookup reads one file
+        paths = {}
         for path in sorted(catalog_dir.glob("*.yaml")):
-            descriptor = parse_descriptor(path.read_text(encoding="utf-8"))
-            orch.catalog.add(descriptor)
-            self._catalog_files[path.name] = descriptor
+            kind, _, id_ = path.stem.partition("-")
+            paths[kind, id_] = path
+        orch.catalog._entries = LazyDocuments(dict(paths), self._read_descriptor,
+                                              lambda key: f"catalog file {paths[key]}")
+
+    def _read_descriptor(self, path: Path) -> Descriptor:
+        descriptor = parse_descriptor(path.read_text(encoding="utf-8"))
+        if _catalog_name(descriptor.kind, descriptor.id) != path.name:
+            raise ValueError(f"it holds {descriptor.kind} {descriptor.id!r}")
+        self._catalog_files[path.name] = descriptor
+        return descriptor

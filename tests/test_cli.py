@@ -12,6 +12,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from conftest import save_peered_store
 from slicevpn import store as store_module
 from slicevpn.cli import main
@@ -21,6 +23,7 @@ from slicevpn.store import Store
 REPO = Path(__file__).resolve().parent.parent
 SAMPLES = REPO / "samples"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_session.txt"
+INSPECTION = Path(__file__).resolve().parent / "data" / "inspection_session.txt"
 
 WEST_PUB = "pOCSkrZRwni5dyxWn1+puxPZBrRqtoyd+dwrRAn4ogk="
 EAST_PUB = "zo060cy2M+x7cMF4FKXHbs0CloUFDTRHRboFhw5YfVk="
@@ -69,6 +72,44 @@ def run_golden_session(store: str) -> str:
     return transcript.getvalue()
 
 
+def inspection_session(store: str, slice_config: str) -> list[list[str]]:
+    """Validation before and after onboarding, then ns-show of a slice's
+    members and of a plain instance, before and after one is deleted."""
+    s = ["--store", store]
+    nst = str(SAMPLES / "nst-vpn-slice.yaml")
+    return [
+        s + ["validate", nst],  # dangling references
+        *(s + ["onboard", str(SAMPLES / name)] for name in (
+            "vnfd-wireguard-gateway.yaml", "vnfd-test-host.yaml", "nsd-wireguard-vpn.yaml",
+            "nsd-consumer.yaml")),
+        s + ["--json", "validate", nst],
+        s + ["onboard", nst],
+        s + ["validate", nst, str(SAMPLES / "nsd-consumer.yaml")],
+        s + ["slice-create", "vpn-slice", "--config", slice_config],
+        s + ["ns-create", "wg-vpn", "--config", str(SAMPLES / "config-seeded-keys.yaml")],
+        s + ["ns-show", "ns-1"],
+        s + ["ns-show", "ns-2"],
+        s + ["ns-delete", "ns-1"],
+        s + ["ns-show", "ns-1"],
+        s + ["ns-show", "ns-2"],
+        s + ["--json", "ns-show", "ns-2"],
+        s + ["ns-show", "ns-3"],
+    ]
+
+
+def run_inspection_session(tmp: Path) -> str:
+    """Each command's output and exit status, in order."""
+    slice_config = tmp / "slice.yaml"
+    slice_config.write_text(f'ns.1.member.1.key-seed: "{WEST_SEED_HEX}"\n'
+                            f'ns.1.member.2.key-seed: "{EAST_SEED_HEX}"\n', encoding="utf-8")
+    transcript = io.StringIO()
+    for argv in inspection_session(str(tmp / "store"), str(slice_config)):
+        with redirect_stdout(transcript), redirect_stderr(transcript):
+            status = main(list(argv))
+        transcript.write(f"# exit {status}\n")
+    return transcript.getvalue()
+
+
 class TestGoldenSession:
     def test_transcript_is_byte_stable(self, tmp_path):
         transcript = run_golden_session(str(tmp_path / "store"))
@@ -78,6 +119,27 @@ class TestGoldenSession:
         first = run_golden_session(str(tmp_path / "a"))
         second = run_golden_session(str(tmp_path / "b"))
         assert first == second
+
+    def test_two_runs_leave_identical_stores(self, tmp_path):
+        stores = []
+        for name in ("a", "b"):
+            run_golden_session(str(tmp_path / name))
+            root = tmp_path / name
+            stores.append({path.relative_to(root): path.read_bytes()
+                           for path in root.rglob("*") if path.is_file()})
+        assert "state.json" in {str(path) for path in stores[0]}
+        assert stores[0] == stores[1]
+
+    def test_one_process_per_command(self, tmp_path):
+        # no state may survive between commands except what the store holds
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        transcript = []
+        for argv in golden_session(str(tmp_path / "store")):
+            result = subprocess.run([sys.executable, "-m", "slicevpn.cli", *argv],
+                                    capture_output=True, text=True, env=env, timeout=60)
+            assert result.returncode == 0, result.stderr
+            transcript.append(result.stdout)
+        assert "".join(transcript) == GOLDEN.read_text(encoding="utf-8")
 
     def test_no_private_key_material_in_output(self, tmp_path):
         import base64
@@ -194,6 +256,15 @@ class TestJsonMode:
                        '"total_s": "206"}\n')
 
 
+def _catalog_files(root: Path) -> dict[Path, tuple[bytes, int]]:
+    """Each catalog file's bytes and mtime, after setting every mtime to a
+    fixed past value, so that a rewrite shows even within the clock's tick."""
+    files = sorted((root / "catalog").glob("*.yaml"))
+    for path in files:
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
+
+
 class TestLifecycleOverCli:
     def test_ns_delete_then_show_fails(self, tmp_path):
         store = str(tmp_path / "s")
@@ -206,14 +277,11 @@ class TestLifecycleOverCli:
     def test_read_only_action_leaves_catalog_files_untouched(self, tmp_path):
         store = tmp_path / "s"
         run_golden_session(str(store))
-        files = sorted((store / "catalog").glob("*.yaml"))
-        assert len(files) == 3
-        for path in files:
-            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
-        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
+        before = _catalog_files(store)
+        assert len(before) == 3
         status, _, _ = run_cli("--store", str(store), "ns-action", "ns-1", "1", "get-public-key")
         assert status == 0
-        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == before
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in before} == before
 
     def test_slice_create(self, tmp_path):
         store = str(tmp_path / "s")
@@ -229,22 +297,81 @@ def _instance_documents(root: Path) -> dict[str, dict]:
     return {doc["id"]: doc for doc in json.loads((root / "state.json").read_text())["instances"]}
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """Record the first argument of every call to store.<name>."""
+    calls = []
+    original = getattr(store_module, name)
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, name, spy)
+    return calls
+
+
 class TestDecodeOnDemand:
-    """A command against a 3-instance store decodes only the instance it names."""
+    """A command against a 3-instance store decodes only the instances,
+    VIM entries and catalog files it touches."""
 
     def test_kpi_decodes_only_its_instance(self, tmp_path, monkeypatch):
         save_peered_store(tmp_path / "s")
-        decoded = []
-        decode = store_module._instance_from_doc
-
-        def spy(doc):
-            decoded.append(doc["id"])
-            return decode(doc)
-
-        monkeypatch.setattr(store_module, "_instance_from_doc", spy)
+        instances = _spy(monkeypatch, "_instance_from_doc")
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        networks = _spy(monkeypatch, "_network_from_doc")
+        vdus = _spy(monkeypatch, "_vdu_from_doc")
         status, out, _ = run_cli("--store", str(tmp_path / "s"), "kpi", "ns-2")
         assert status == 0 and "total: 266 s" in out
-        assert decoded == ["ns-2"]
+        assert [doc["id"] for doc in instances] == ["ns-2"]
+        assert parsed == [] and networks == [] and vdus == []
+
+    def test_ns_show_decodes_only_its_vim_entries(self, tmp_path, monkeypatch):
+        save_peered_store(tmp_path / "s")
+        ns2 = _instance_documents(tmp_path / "s")["ns-2"]
+        networks = _spy(monkeypatch, "_network_from_doc")
+        vdus = _spy(monkeypatch, "_vdu_from_doc")
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        status, out, _ = run_cli("--store", str(tmp_path / "s"), "ns-show", "ns-2")
+        assert status == 0 and "  network ns-2.tunnel 192.168.100.0/24 allocations=2" in out
+        assert [doc["name"] for doc in networks] == sorted(ns2["networks"].values())
+        assert [doc["id"] for doc in vdus] == sorted(
+            v for record in ns2["vnf-records"] for v in record["vdu-ids"])
+        assert parsed == []
+
+    def test_day2_write_leaves_vim_and_catalog_as_loaded(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        catalog = _catalog_files(root)
+        vim = json.loads((root / "state.json").read_text())["vim"]
+        networks = _spy(monkeypatch, "_network_to_doc")
+        vdus = _spy(monkeypatch, "_vdu_to_doc")
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        status, _, _ = run_cli("--store", str(root), "ns-action", "ns-2", "1", "add-peer",
+                               "--param", f"public-key={third}", "--param", "allowed-ips=10.9.0.0/24")
+        assert status == 0
+        assert networks == [] and vdus == []  # written back as loaded, not re-encoded
+        after = json.loads((root / "state.json").read_text())["vim"]
+        assert after["networks"] == vim["networks"] and after["vdus"] == vim["vdus"]
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in catalog} == catalog
+
+    def test_delete_re_encodes_only_its_vim_entries(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        vim = json.loads((root / "state.json").read_text())["vim"]
+        vdus = _spy(monkeypatch, "_vdu_to_doc")
+        status, _, _ = run_cli("--store", str(root), "ns-delete", "ns-2")
+        assert status == 0
+        assert sorted(vdu.id for vdu in vdus) == ["ns-2.m1.gw", "ns-2.m2.gw", "ns-2.m3.host",
+                                                  "ns-2.m4.host"]
+        after = json.loads((root / "state.json").read_text())["vim"]
+        assert after["networks"] == [n for n in vim["networks"] if not n["name"].startswith("ns-2.")]
+        assert [v for v in after["vdus"] if not v["id"].startswith("ns-2.")] == \
+            [v for v in vim["vdus"] if not v["id"].startswith("ns-2.")]
+
+    def test_validate_and_ns_show_output_is_unchanged(self, tmp_path):
+        # recorded from the store that decoded everything on load
+        assert run_inspection_session(tmp_path) == INSPECTION.read_text(encoding="utf-8")
 
     def test_add_peer_writes_other_instances_back_as_loaded(self, tmp_path):
         root = tmp_path / "s"
@@ -278,6 +405,82 @@ class TestDecodeOnDemand:
             assert "ns-3" in err and "instance not found" not in err
 
 
+def _corrupt_vim(root: Path, section: str, key: str, entry_id: str, corrupt):
+    state = json.loads((root / "state.json").read_text())
+    corrupt(next(doc for doc in state["vim"][section] if doc[key] == entry_id))
+    (root / "state.json").write_text(json.dumps(state))
+
+
+class TestFailureScope:
+    """A corrupt VIM document or catalog file fails only the commands that
+    touch it, with one error line; other instances keep working."""
+
+    def assert_fails(self, root: Path, *argv: str, prefix: str) -> str:
+        status, _, err = run_cli("--store", str(root), *argv)
+        assert status == 1
+        assert err.startswith(f"error: corrupt {prefix}") and err.count("\n") == 1
+        assert "not found" not in err and "unknown" not in err
+        return err
+
+    def assert_works(self, root: Path, *argv: str):
+        status, _, err = run_cli("--store", str(root), *argv)
+        assert status == 0, err
+
+    def test_corrupt_vim_network(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        pristine = (root / "state.json").read_text()
+        for corrupt in (lambda doc: doc.update(cidr="x"), lambda doc: doc.pop("allocations")):
+            (root / "state.json").write_text(pristine)
+            _corrupt_vim(root, "networks", "name", "ns-3.tunnel", corrupt)
+            self.assert_works(root, "kpi", "ns-1")
+            self.assert_works(root, "kpi", "ns-3")  # reads no network
+            self.assert_works(root, "ns-show", "ns-1")
+            err = self.assert_fails(root, "ns-show", "ns-3", prefix="state file")
+            assert "network ns-3.tunnel" in err
+            self.assert_fails(root, "ns-delete", "ns-3", prefix="state file")
+
+    def test_corrupt_vim_vdu(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        pristine = (root / "state.json").read_text()
+        for corrupt in (lambda doc: doc.update(interfaces=5), lambda doc: doc.pop("image")):
+            (root / "state.json").write_text(pristine)
+            _corrupt_vim(root, "vdus", "id", "ns-3.m1.gw", corrupt)
+            self.assert_works(root, "kpi", "ns-1")
+            self.assert_works(root, "kpi", "ns-3")
+            self.assert_works(root, "ns-show", "ns-1")
+            err = self.assert_fails(root, "ns-show", "ns-3", prefix="state file")
+            assert "vdu ns-3.m1.gw" in err
+
+    def test_corrupt_catalog_file(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        gateway = root / "catalog" / "vnfd-wg-gw.yaml"
+        for text in ("kind: vnfd\nid: [\n", "kind: vnfd\nid: wg-gw\n"):  # syntax, schema
+            gateway.write_text(text)
+            self.assert_works(root, "kpi", "ns-1")
+            self.assert_works(root, "ns-show", "ns-1")
+            err = self.assert_fails(root, "ns-action", "ns-1", "1", "get-public-key",
+                                    prefix="catalog file")
+            assert str(gateway) in err
+            self.assert_fails(root, "validate", str(SAMPLES / "nsd-consumer.yaml"),
+                              prefix="catalog file")
+
+    def test_misnamed_catalog_file_is_a_store_error(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        impostor = root / "catalog" / "vnfd-impostor.yaml"
+        impostor.write_bytes((root / "catalog" / "vnfd-wg-gw.yaml").read_bytes())
+        self.assert_works(root, "ns-action", "ns-1", "1", "get-public-key")
+        err = self.assert_fails(root, "validate", str(SAMPLES / "nsd-consumer.yaml"),
+                                prefix="catalog file")
+        assert str(impostor) in err and "'wg-gw'" in err
+        orch = Store(root).load()
+        with pytest.raises(store_module.StoreError, match="vnfd-impostor.yaml"):
+            orch.catalog.vnfd("impostor")
+
+
 def test_console_script_entry_point():
     result = subprocess.run([sys.executable, "-m", "slicevpn.cli", "--help"],
                             capture_output=True, text=True)
@@ -291,4 +494,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             GOLDEN.parent.mkdir(parents=True, exist_ok=True)
             GOLDEN.write_text(run_golden_session(str(Path(tmp) / "store")), encoding="utf-8")
-        print(f"wrote {GOLDEN}")
+            INSPECTION.write_text(run_inspection_session(Path(tmp)), encoding="utf-8")
+        print(f"wrote {GOLDEN} and {INSPECTION}")

@@ -94,14 +94,22 @@ class TestRoundTrip:
     def test_decoded_instances_save_byte_identical(self, tmp_path):
         store = save_peered_store(tmp_path / "s")
         first = (tmp_path / "s" / STATE_FILE).read_bytes()
+        catalog = {path: path.read_bytes() for path in (tmp_path / "s" / "catalog").iterdir()}
         orch = store.load()
-        orch.instances["ns-2"]  # one decoded, two written back as loaded
+        orch.instances["ns-2"]  # one of each decoded, the others written back as loaded
+        orch.vim.network("ns-2.tunnel")
+        orch.vim.vdu("ns-2.m1.gw")
+        orch.catalog.vnfd("wg-gw")
         store.save(orch)
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
         orch = store.load()
         assert [i.id for i in orch.instances.values()] == ["ns-1", "ns-2", "ns-3"]  # all decoded
+        assert len(orch.vim.topology().networks) == 9
+        assert [d.id for d in orch.catalog.descriptors()] == [
+            "consumer", "wg-vpn", "vpn-slice", "test-host", "wg-gw"]  # sorted file order
         store.save(orch)
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
+        assert {path: path.read_bytes() for path in catalog} == catalog
 
     def test_only_touched_gateways_are_bound(self, tmp_path):
         store = save_peered_store(tmp_path / "s")
