@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import yaml
 
@@ -245,6 +245,38 @@ def _check_keys(mapping: dict, path: str, required: tuple[str, ...], optional: t
             raise DescriptorSchemaError(f"{path}/{key}", "missing required field")
 
 
+def _entries(doc: dict, path: str, key: str, required: tuple[str, ...], optional: tuple[str, ...] = (),
+             at_least_one: str = ""):
+    """Each entry of the sequence ``doc[key]`` (empty if absent) as
+    ``(path, mapping)``, checked to be a mapping with exactly the given
+    fields. If `at_least_one` names what an entry is, an empty sequence is an error."""
+    items = _require_sequence(doc.get(key, []), f"{path}/{key}")
+    if at_least_one and not items:
+        raise DescriptorSchemaError(f"{path}/{key}", f"at least one {at_least_one} is required")
+    for i, obj in enumerate(items):
+        entry_path = f"{path}/{key}/{i}"
+        mapping = _require_mapping(obj, entry_path)
+        _check_keys(mapping, entry_path, required, optional)
+        yield entry_path, mapping
+
+
+def _strings(doc: dict, path: str, key: str, what: str) -> tuple[str, ...]:
+    """The sequence ``doc[key]`` (empty if absent), checked to hold non-empty strings."""
+    items = _require_sequence(doc.get(key, []), f"{path}/{key}")
+    for i, item in enumerate(items):
+        if not isinstance(item, str) or not item:
+            raise DescriptorSchemaError(f"{path}/{key}/{i}", f"expected {what}")
+    return tuple(items)
+
+
+def _claim(seen: set, value, path: str, what: str):
+    """Add `value` to `seen`, which must not hold it yet, and return it."""
+    if value in seen:
+        raise DescriptorSchemaError(path, f"duplicate {what} {value!r}")
+    seen.add(value)
+    return value
+
+
 def _get_str(mapping: dict, path: str, key: str) -> str:
     value = mapping[key]
     if not isinstance(value, str) or not value:
@@ -292,71 +324,39 @@ def _document(source: str | dict, expected_kind: str) -> dict:
 # --- parsing ------------------------------------------------------------------
 
 
-def _parse_primitive(obj, path: str) -> PrimitiveSpec:
-    mapping = _require_mapping(obj, path)
-    _check_keys(mapping, path, required=("name",), optional=("description", "params"))
-    name = _get_str(mapping, path, "name")
-    description = ""
-    if "description" in mapping:
-        description = _get_str(mapping, path, "description")
-    params: list[PrimitiveParam] = []
-    seen = set()
-    for i, p in enumerate(_require_sequence(mapping.get("params", []), f"{path}/params")):
-        ppath = f"{path}/params/{i}"
-        pmap = _require_mapping(p, ppath)
-        _check_keys(pmap, ppath, required=("name", "type"))
-        pname = _get_str(pmap, ppath, "name")
-        ptype = _get_str(pmap, ppath, "type")
-        if ptype not in PARAM_TYPES:
-            raise DescriptorSchemaError(f"{ppath}/type", f"unknown type {ptype!r}, expected one of {PARAM_TYPES}")
-        if pname in seen:
-            raise DescriptorSchemaError(f"{ppath}/name", f"duplicate param name {pname!r}")
-        seen.add(pname)
-        params.append(PrimitiveParam(pname, ptype))
-    return PrimitiveSpec(name=name, params=tuple(params), description=description)
-
-
-def _parse_primitive_list(doc: dict, path: str, key: str, seen_names: set[str]) -> tuple[PrimitiveSpec, ...]:
+def _parse_primitives(doc: dict, key: str, seen_names: set[str]) -> tuple[PrimitiveSpec, ...]:
     out: list[PrimitiveSpec] = []
-    for i, obj in enumerate(_require_sequence(doc.get(key, []), f"{path}/{key}")):
-        prim = _parse_primitive(obj, f"{path}/{key}/{i}")
-        if prim.name in seen_names:
-            raise DescriptorSchemaError(f"{path}/{key}/{i}/name", f"duplicate primitive name {prim.name!r}")
-        seen_names.add(prim.name)
-        out.append(prim)
+    for path, mapping in _entries(doc, "", key, required=("name",), optional=("description", "params")):
+        name = _get_str(mapping, path, "name")
+        description = ""
+        if "description" in mapping:
+            description = _get_str(mapping, path, "description")
+        params: list[PrimitiveParam] = []
+        seen: set[str] = set()
+        for ppath, pmap in _entries(mapping, path, "params", required=("name", "type")):
+            pname = _get_str(pmap, ppath, "name")
+            ptype = _get_str(pmap, ppath, "type")
+            if ptype not in PARAM_TYPES:
+                raise DescriptorSchemaError(f"{ppath}/type", f"unknown type {ptype!r}, expected one of {PARAM_TYPES}")
+            params.append(PrimitiveParam(_claim(seen, pname, f"{ppath}/name", "param name"), ptype))
+        _claim(seen_names, name, f"{path}/name", "primitive name")
+        out.append(PrimitiveSpec(name=name, params=tuple(params), description=description))
     return tuple(out)
 
 
-def _parse_vdu(obj, path: str) -> VduSpec:
-    mapping = _require_mapping(obj, path)
-    _check_keys(
-        mapping, path,
-        required=("name", "image"),
-        optional=("interfaces", "cloud-init-packages", "requires-forwarding"),
-    )
+def _parse_vdu(mapping: dict, path: str) -> VduSpec:
     name = _get_str(mapping, path, "name")
     image = _get_str(mapping, path, "image")
     interfaces: list[InterfaceSpec] = []
-    seen = set()
-    for i, iface in enumerate(_require_sequence(mapping.get("interfaces", []), f"{path}/interfaces")):
-        ipath = f"{path}/interfaces/{i}"
-        imap = _require_mapping(iface, ipath)
-        _check_keys(imap, ipath, required=("name", "network"))
-        iname = _get_str(imap, ipath, "name")
-        if iname in seen:
-            raise DescriptorSchemaError(f"{ipath}/name", f"duplicate interface name {iname!r}")
-        seen.add(iname)
+    seen: set[str] = set()
+    for ipath, imap in _entries(mapping, path, "interfaces", required=("name", "network")):
+        iname = _claim(seen, _get_str(imap, ipath, "name"), f"{ipath}/name", "interface name")
         interfaces.append(InterfaceSpec(iname, _get_str(imap, ipath, "network")))
-    packages: list[str] = []
-    for i, pkg in enumerate(_require_sequence(mapping.get("cloud-init-packages", []), f"{path}/cloud-init-packages")):
-        if not isinstance(pkg, str) or not pkg:
-            raise DescriptorSchemaError(f"{path}/cloud-init-packages/{i}", "expected a package name")
-        packages.append(pkg)
     return VduSpec(
         name=name,
         image=image,
         interfaces=tuple(interfaces),
-        cloud_init_packages=tuple(packages),
+        cloud_init_packages=_strings(mapping, path, "cloud-init-packages", "a package name"),
         requires_forwarding=_get_bool(mapping, path, "requires-forwarding", False),
     )
 
@@ -370,22 +370,23 @@ def parse_vnfd(source: str | dict) -> VnfDescriptor:
         optional=("initial-config-primitives", "config-primitives"),
     )
     vdus: list[VduSpec] = []
-    seen_vdus = set()
-    for i, obj in enumerate(_require_sequence(doc["vdus"], "/vdus")):
-        vdu = _parse_vdu(obj, f"/vdus/{i}")
-        if vdu.name in seen_vdus:
-            raise DescriptorSchemaError(f"/vdus/{i}/name", f"duplicate vdu name {vdu.name!r}")
-        seen_vdus.add(vdu.name)
+    seen_vdus: set[str] = set()
+    for path, mapping in _entries(
+        doc, "", "vdus",
+        required=("name", "image"),
+        optional=("interfaces", "cloud-init-packages", "requires-forwarding"),
+        at_least_one="vdu",
+    ):
+        vdu = _parse_vdu(mapping, path)
+        _claim(seen_vdus, vdu.name, f"{path}/name", "vdu name")
         vdus.append(vdu)
-    if not vdus:
-        raise DescriptorSchemaError("/vdus", "at least one vdu is required")
     mgmt = _get_str(doc, "", "mgmt-interface")
     declared = {i.name for vdu in vdus for i in vdu.interfaces}
     if mgmt not in declared:
         raise DescriptorSchemaError("/mgmt-interface", f"{mgmt!r} names no declared interface")
     primitive_names: set[str] = set()
-    initial = _parse_primitive_list(doc, "", "initial-config-primitives", primitive_names)
-    config = _parse_primitive_list(doc, "", "config-primitives", primitive_names)
+    initial = _parse_primitives(doc, "initial-config-primitives", primitive_names)
+    config = _parse_primitives(doc, "config-primitives", primitive_names)
     return VnfDescriptor(
         id=_get_str(doc, "", "id"),
         name=_get_str(doc, "", "name"),
@@ -406,52 +407,31 @@ def parse_nsd(source: str | dict) -> NsDescriptor:
     )
     members: list[NsdVnfMember] = []
     seen_idx: set[int] = set()
-    for i, obj in enumerate(_require_sequence(doc["vnf-members"], "/vnf-members")):
-        path = f"/vnf-members/{i}"
-        mapping = _require_mapping(obj, path)
-        _check_keys(mapping, path, required=("member-index", "vnfd-id"))
-        idx = _get_int(mapping, path, "member-index")
-        if idx in seen_idx:
-            raise DescriptorSchemaError(f"{path}/member-index", f"duplicate member index {idx}")
-        seen_idx.add(idx)
+    for path, mapping in _entries(doc, "", "vnf-members", required=("member-index", "vnfd-id"),
+                                  at_least_one="member"):
+        idx = _claim(seen_idx, _get_int(mapping, path, "member-index"), f"{path}/member-index",
+                     "member index")
         members.append(NsdVnfMember(idx, _get_str(mapping, path, "vnfd-id")))
-    if not members:
-        raise DescriptorSchemaError("/vnf-members", "at least one member is required")
 
     links: list[VirtualLinkSpec] = []
     seen_links: set[str] = set()
-    for i, obj in enumerate(_require_sequence(doc.get("virtual-links", []), "/virtual-links")):
-        path = f"/virtual-links/{i}"
-        mapping = _require_mapping(obj, path)
-        _check_keys(mapping, path, required=("name", "cidr", "attachments"))
-        lname = _get_str(mapping, path, "name")
-        if lname in seen_links:
-            raise DescriptorSchemaError(f"{path}/name", f"duplicate virtual link name {lname!r}")
-        seen_links.add(lname)
+    for path, mapping in _entries(doc, "", "virtual-links", required=("name", "cidr", "attachments")):
+        lname = _claim(seen_links, _get_str(mapping, path, "name"), f"{path}/name", "virtual link name")
         cidr = _check_cidr(_get_str(mapping, path, "cidr"), f"{path}/cidr")
         attachments: list[AttachmentRef] = []
-        for j, att in enumerate(_require_sequence(mapping["attachments"], f"{path}/attachments")):
-            apath = f"{path}/attachments/{j}"
-            amap = _require_mapping(att, apath)
-            _check_keys(amap, apath, required=("member-index", "interface"))
+        for apath, amap in _entries(mapping, path, "attachments", required=("member-index", "interface"),
+                                    at_least_one="attachment"):
             idx = _get_int(amap, apath, "member-index")
             if idx not in seen_idx:
                 raise DescriptorSchemaError(f"{apath}/member-index", f"undeclared member index {idx}")
             attachments.append(AttachmentRef(idx, _get_str(amap, apath, "interface")))
-        if not attachments:
-            raise DescriptorSchemaError(f"{path}/attachments", "at least one attachment is required")
         links.append(VirtualLinkSpec(lname, cidr, tuple(attachments)))
 
     cps: list[ConnectionPointSpec] = []
     seen_cps: set[str] = set()
-    for i, obj in enumerate(_require_sequence(doc.get("connection-points", []), "/connection-points")):
-        path = f"/connection-points/{i}"
-        mapping = _require_mapping(obj, path)
-        _check_keys(mapping, path, required=("name", "member-index", "interface"))
-        cname = _get_str(mapping, path, "name")
-        if cname in seen_cps:
-            raise DescriptorSchemaError(f"{path}/name", f"duplicate connection point {cname!r}")
-        seen_cps.add(cname)
+    for path, mapping in _entries(doc, "", "connection-points",
+                                  required=("name", "member-index", "interface")):
+        cname = _claim(seen_cps, _get_str(mapping, path, "name"), f"{path}/name", "connection point")
         idx = _get_int(mapping, path, "member-index")
         if idx not in seen_idx:
             raise DescriptorSchemaError(f"{path}/member-index", f"undeclared member index {idx}")
@@ -474,41 +454,27 @@ def parse_nst(source: str | dict) -> NstDescriptor:
         required=("kind", "schema-version", "id", "name", "ns-members"),
         optional=("slice-links",),
     )
-    members: list[str] = []
-    for i, nsd_id in enumerate(_require_sequence(doc["ns-members"], "/ns-members")):
-        if not isinstance(nsd_id, str) or not nsd_id:
-            raise DescriptorSchemaError(f"/ns-members/{i}", "expected an nsd id")
-        members.append(nsd_id)
+    members = _strings(doc, "", "ns-members", "an nsd id")
     if not members:
         raise DescriptorSchemaError("/ns-members", "a slice needs at least one member")
 
     links: list[SliceLinkSpec] = []
     seen_links: set[str] = set()
-    for i, obj in enumerate(_require_sequence(doc.get("slice-links", []), "/slice-links")):
-        path = f"/slice-links/{i}"
-        mapping = _require_mapping(obj, path)
-        _check_keys(mapping, path, required=("name", "endpoints"))
-        lname = _get_str(mapping, path, "name")
-        if lname in seen_links:
-            raise DescriptorSchemaError(f"{path}/name", f"duplicate slice link name {lname!r}")
-        seen_links.add(lname)
+    for path, mapping in _entries(doc, "", "slice-links", required=("name", "endpoints")):
+        lname = _claim(seen_links, _get_str(mapping, path, "name"), f"{path}/name", "slice link name")
         endpoints: list[SliceLinkEndpoint] = []
-        for j, ep in enumerate(_require_sequence(mapping["endpoints"], f"{path}/endpoints")):
-            epath = f"{path}/endpoints/{j}"
-            emap = _require_mapping(ep, epath)
-            _check_keys(emap, epath, required=("ns-member", "connection-point"))
+        for epath, emap in _entries(mapping, path, "endpoints", required=("ns-member", "connection-point"),
+                                    at_least_one="endpoint"):
             pos = _get_int(emap, epath, "ns-member")
             if not 1 <= pos <= len(members):
                 raise DescriptorSchemaError(f"{epath}/ns-member", f"ns-member {pos} out of range 1..{len(members)}")
             endpoints.append(SliceLinkEndpoint(pos, _get_str(emap, epath, "connection-point")))
-        if not endpoints:
-            raise DescriptorSchemaError(f"{path}/endpoints", "at least one endpoint is required")
         links.append(SliceLinkSpec(lname, tuple(endpoints)))
 
     return NstDescriptor(
         id=_get_str(doc, "", "id"),
         name=_get_str(doc, "", "name"),
-        ns_members=tuple(members),
+        ns_members=members,
         slice_links=tuple(links),
     )
 
@@ -684,15 +650,6 @@ class Catalog:
     def get(self, kind: str, id_: str) -> Descriptor | None:
         return self._entries.get((kind, id_))
 
-    def vnfd(self, id_: str) -> VnfDescriptor | None:
-        return self._entries.get(("vnfd", id_))  # type: ignore[return-value]
-
-    def nsd(self, id_: str) -> NsDescriptor | None:
-        return self._entries.get(("nsd", id_))  # type: ignore[return-value]
-
-    def nst(self, id_: str) -> NstDescriptor | None:
-        return self._entries.get(("nst", id_))  # type: ignore[return-value]
-
     def descriptors(self) -> list[Descriptor]:
         return list(self._entries.values())
 
@@ -700,16 +657,26 @@ class Catalog:
         return validate_catalog(self.descriptors())
 
 
-def _cross_reference_issues(d: Descriptor, by_key: dict[tuple[str, str], Descriptor]) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
+def references(d: Descriptor) -> list[tuple[str, str, str]]:
+    """Each reference `d` makes to another descriptor, as ``(path, kind,
+    id)`` in declaration order."""
     if isinstance(d, NsDescriptor):
-        for m in d.vnf_members:
-            vnfd = by_key.get(("vnfd", m.vnfd_id))
-            if vnfd is None:
-                issues.append(ValidationIssue(
-                    "error", f"nsd:{d.id}/vnf-members/{m.member_index}",
-                    f"unresolved vnfd ref {m.vnfd_id!r}"))
-        member_vnfd = {m.member_index: by_key.get(("vnfd", m.vnfd_id)) for m in d.vnf_members}
+        return [(f"nsd:{d.id}/vnf-members/{m.member_index}", "vnfd", m.vnfd_id) for m in d.vnf_members]
+    if isinstance(d, NstDescriptor):
+        return [(f"nst:{d.id}/ns-members/{pos}", "nsd", nsd_id)
+                for pos, nsd_id in enumerate(d.ns_members, start=1)]
+    return []
+
+
+def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | None]) -> list[ValidationIssue]:
+    """The errors in the references `d` makes, where ``resolve(kind, id)``
+    returns the descriptor a reference names, or ``None``: first every
+    reference that does not resolve, then every use of a resolved one that
+    does not fit it."""
+    issues = [ValidationIssue("error", path, f"unresolved {kind} ref {ref!r}")
+              for path, kind, ref in references(d) if resolve(kind, ref) is None]
+    if isinstance(d, NsDescriptor):
+        member_vnfd = {m.member_index: resolve("vnfd", m.vnfd_id) for m in d.vnf_members}
         attached: dict[tuple[int, str], str] = {}
         for link in d.virtual_links:
             for a in link.attachments:
@@ -744,15 +711,10 @@ def _cross_reference_issues(d: Descriptor, by_key: dict[tuple[str, str], Descrip
                     "error", f"nsd:{d.id}/connection-points/{cp.name}",
                     f"member {cp.member_index} ({vnfd.id}) declares no interface {cp.interface!r}"))
     elif isinstance(d, NstDescriptor):
-        for pos, nsd_id in enumerate(d.ns_members, start=1):
-            if ("nsd", nsd_id) not in by_key:
-                issues.append(ValidationIssue(
-                    "error", f"nst:{d.id}/ns-members/{pos}",
-                    f"unresolved nsd ref {nsd_id!r}"))
         for link in d.slice_links:
             for ep in link.endpoints:
                 nsd_id = d.ns_members[ep.ns_member - 1]
-                nsd = by_key.get(("nsd", nsd_id))
+                nsd = resolve("nsd", nsd_id)
                 if nsd is None:
                     continue  # unresolved ref already reported
                 if ep.connection_point not in {c.name for c in nsd.connection_points}:
@@ -778,12 +740,5 @@ def validate_catalog(descriptors: Iterable[Descriptor]) -> ValidationReport:
         else:
             by_key[key] = d
     for d in items:
-        issues.extend(_cross_reference_issues(d, by_key))
+        issues.extend(reference_issues(d, lambda kind, id_: by_key.get((kind, id_))))
     return ValidationReport(issues=tuple(issues))
-
-
-def unresolved_references(d: Descriptor, catalog: Catalog) -> list[str]:
-    """Messages for this descriptor's references that the catalog cannot resolve yet."""
-    by_key = {(x.kind, x.id): x for x in catalog.descriptors()}
-    by_key[(d.kind, d.id)] = d
-    return [i.message for i in _cross_reference_issues(d, by_key) if "unresolved" in i.message]

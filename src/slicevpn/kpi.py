@@ -163,8 +163,7 @@ class TunnelPair:
 
     @classmethod
     def from_instance(cls, orch: Orchestrator, instance_id: str,
-                      member_a: int | None = None, member_b: int | None = None,
-                      inner_a: str | None = None, inner_b: str | None = None) -> "TunnelPair":
+                      member_a: int | None = None, member_b: int | None = None) -> "TunnelPair":
         instance = orch.instances.get(instance_id)
         if instance is None:
             raise KpiError(f"instance not found: {instance_id}")
@@ -181,12 +180,12 @@ class TunnelPair:
         rec_a = instance.record(member_a)
         rec_b = instance.record(member_b)
         sides = []
-        for rec, inner in ((rec_a, inner_a), (rec_b, inner_b)):
+        for rec in (rec_a, rec_b):
             if rec.table is None:
                 raise KpiError(f"member {rec.member_index} is not a gateway")
             if rec.handle is None or rec.handle.closed:
                 raise KpiError(f"member {rec.member_index} has no bound transport (start-wg not run?)")
-            sides.append(TunnelSide(rec.table, rec.handle, inner or rec.table.tunnel_address))
+            sides.append(TunnelSide(rec.table, rec.handle, rec.table.tunnel_address))
         return cls(a=sides[0], b=sides[1], backend=orch.backend)
 
     @property

@@ -37,8 +37,8 @@ from slicevpn.descriptors import (
     VduSpec,
     VnfDescriptor,
     coerce_param,
-    unresolved_references,
-    validate_catalog,
+    reference_issues,
+    references,
 )
 from slicevpn.errors import AuthorizationError, SliceVpnError
 from slicevpn.transport import Endpoint, Handle, InMemoryBackend
@@ -213,7 +213,26 @@ class Orchestrator:
     def onboard_warnings(self, descriptor: Descriptor) -> list[str]:
         """Unresolved cross-references at onboard time (warnings, not errors —
         they harden into errors at ns_create)."""
-        return unresolved_references(descriptor, self.catalog)
+        return [f"unresolved {kind} ref {ref!r}" for kind, ref in self._unresolved(descriptor)]
+
+    def _unresolved(self, descriptor: Descriptor) -> list[tuple[str, str]]:
+        """The (kind, id) of each reference the catalog cannot resolve."""
+        return [(kind, ref) for _, kind, ref in references(descriptor)
+                if self.catalog.get(kind, ref) is None]
+
+    def _instantiable(self, kind: str, id_: str) -> Descriptor:
+        """The onboarded descriptor `kind` `id_`, refused unless every
+        reference it makes resolves to an onboarded descriptor that fits it."""
+        descriptor = self.catalog.get(kind, id_)
+        if descriptor is None:
+            raise LifecycleError(f"no {kind} {id_!r} onboarded")
+        missing = self._unresolved(descriptor)
+        if missing:
+            raise LifecycleError(f"unresolved {missing[0][0]} refs: {sorted({ref for _, ref in missing})}")
+        problems = "; ".join(i.message for i in reference_issues(descriptor, self.catalog.get))
+        if problems:
+            raise LifecycleError(f"catalog validation failed for {id_!r}: {problems}")
+        return descriptor
 
     # -- event helpers --
 
@@ -238,14 +257,7 @@ class Orchestrator:
     def ns_create(self, actor: Actor, nsd_id: str, params: dict[str, str] | None = None,
                   profile: TimingProfile | None = None) -> str:
         self._require(actor, "ns_create")
-        nsd = self.catalog.nsd(nsd_id)
-        if nsd is None:
-            raise LifecycleError(f"no nsd {nsd_id!r} onboarded")
-        closure = self._nsd_closure(nsd)
-        report = validate_catalog(closure)
-        if not report.ok:
-            problems = "; ".join(i.message for i in report.errors())
-            raise LifecycleError(f"catalog validation failed for {nsd_id!r}: {problems}")
+        nsd = self._instantiable("nsd", nsd_id)
         params = dict(params or {})
         self._check_params(params, nsd)
 
@@ -274,19 +286,6 @@ class Orchestrator:
         self._set_state(instance, "Running")
         self._emit(instance, "NBI", f"instance {instance.id} running")
         return instance.id
-
-    def _nsd_closure(self, nsd: NsDescriptor) -> list[Descriptor]:
-        closure: list[Descriptor] = [nsd]
-        missing = []
-        for member in nsd.vnf_members:
-            vnfd = self.catalog.vnfd(member.vnfd_id)
-            if vnfd is None:
-                missing.append(member.vnfd_id)
-            elif vnfd not in closure:
-                closure.append(vnfd)
-        if missing:
-            raise LifecycleError(f"unresolved vnfd refs: {sorted(set(missing))}")
-        return closure
 
     def _check_params(self, params: dict[str, str], nsd: NsDescriptor):
         members = {m.member_index for m in nsd.vnf_members}
@@ -334,7 +333,7 @@ class Orchestrator:
         ids = []
         owners: list[tuple[VnfRecord, VnfDescriptor]] = []
         for member in sorted(nsd.vnf_members, key=lambda m: m.member_index):
-            vnfd = self.catalog.vnfd(member.vnfd_id)
+            vnfd = self.catalog.get("vnfd", member.vnfd_id)
             record = VnfRecord(member_index=member.member_index, vnfd_id=vnfd.id, vdu_ids=[])
             instance.vnf_records.append(record)
             for vdu in vnfd.vdus:
@@ -371,7 +370,7 @@ class Orchestrator:
         prim_events: list[Event] = []
         longest = Fraction(0)
         for record in instance.vnf_records:
-            vnfd = self.catalog.vnfd(record.vnfd_id)
+            vnfd = self.catalog.get("vnfd", record.vnfd_id)
             offset = Fraction(0)
             for prim in vnfd.initial_config_primitives:
                 duration = instance.profile.primitive_duration(prim.name)
@@ -468,7 +467,7 @@ class Orchestrator:
         if instance.state != "Running":
             raise LifecycleError(f"instance {instance_id} is {instance.state}, not Running")
         record = instance.record(member)
-        vnfd = self.catalog.vnfd(record.vnfd_id)
+        vnfd = self.catalog.get("vnfd", record.vnfd_id)
         declared = {p.name: p for p in vnfd.config_primitives}
         if action not in declared:
             raise LifecycleError(
@@ -581,17 +580,7 @@ class Orchestrator:
         """Instantiate every member NSD in declaration order, then realize
         slice links as shared networks joining the named connection points."""
         self._require(actor, "slice_instantiate")
-        nst = self.catalog.nst(nst_id)
-        if nst is None:
-            raise LifecycleError(f"no nst {nst_id!r} onboarded")
-        missing = [nsd_id for nsd_id in nst.ns_members if self.catalog.nsd(nsd_id) is None]
-        if missing:
-            raise LifecycleError(f"unresolved nsd refs: {sorted(set(missing))}")
-        report = validate_catalog(self.catalog.descriptors())
-        slice_issues = [i for i in report.errors() if i.path.startswith(f"nst:{nst_id}")]
-        if slice_issues:
-            problems = "; ".join(i.message for i in slice_issues)
-            raise LifecycleError(f"catalog validation failed for {nst_id!r}: {problems}")
+        nst = self._instantiable("nst", nst_id)
 
         scoped: dict[int, dict[str, str]] = {}
         for key, value in (params or {}).items():
@@ -618,11 +607,8 @@ class Orchestrator:
             networks[link.name] = net_name
             for ep in link.endpoints:
                 ns_instance = self.instances[ns_ids[ep.ns_member - 1]]
-                nsd = self.catalog.nsd(ns_instance.nsd_id)
-                cp = next((c for c in nsd.connection_points if c.name == ep.connection_point), None)
-                if cp is None:
-                    raise LifecycleError(
-                        f"nsd {nsd.id!r} exposes no connection point {ep.connection_point!r}")
+                nsd = self.catalog.get("nsd", ns_instance.nsd_id)
+                cp = next(c for c in nsd.connection_points if c.name == ep.connection_point)
                 record = ns_instance.record(cp.member_index)
                 for vdu_id in record.vdu_ids:
                     if self.vim.vdu(vdu_id).interface(cp.interface) is not None:

@@ -14,9 +14,11 @@ it up (``LazyDocuments``). A command's decode cost therefore follows what it
 touches, not the store's size. Saving writes ``state.json`` as compact,
 key-sorted JSON, with every untouched document written back as it was
 loaded, and writes a catalog file only for a descriptor that was onboarded
-since loading. A corrupt instance, network or VDU document, or a corrupt
-catalog file, fails only the commands that touch it, and ``--backend udp``
-binds only the touched instances' gateway sockets.
+since loading. Each file is written under a temporary name and renamed over
+the old one, catalog files before ``state.json``, so a save cut off midway
+leaves every file whole, old or new. A corrupt instance, network or VDU
+document, or a corrupt catalog file, fails only the commands that touch it,
+and ``--backend udp`` binds only the touched instances' gateway sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -288,6 +290,15 @@ def _catalog_name(kind: str, id_: str) -> str:
     return f"{kind}-{id_}.yaml"
 
 
+def _write_atomic(path: Path, text: str):
+    """Replace `path` with `text` so that a reader, or a process killed
+    mid-write, sees the old file or the new one, never a torn one. The
+    temporary name ends in ``.tmp``, so no ``*.yaml`` glob picks it up."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 # what decoding a malformed document or catalog file raises
 _DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
                   DescriptorError)
@@ -420,7 +431,7 @@ class Store:
         for (kind, id_), descriptor in read:
             name = _catalog_name(kind, id_)
             if self._catalog_files.get(name) != descriptor:
-                (catalog_dir / name).write_text(serialize_descriptor(descriptor), encoding="utf-8")
+                _write_atomic(catalog_dir / name, serialize_descriptor(descriptor))
                 self._catalog_files[name] = descriptor
         state = {
             "version": 1,
@@ -444,10 +455,8 @@ class Store:
                 for s in orch.slices.values()
             ],
         }
-        path = self.root / STATE_FILE
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")), encoding="utf-8")
-        os.replace(tmp, path)  # crash-safe swap
+        # after the catalog files, so that the state never names a descriptor not on disk
+        _write_atomic(self.root / STATE_FILE, json.dumps(state, sort_keys=True, separators=(",", ":")))
 
     def load(self, backend=None) -> Orchestrator:
         """Rebuild the orchestrator. Instances, VIM entries and catalog

@@ -250,7 +250,7 @@ class Vim:
     # -- VDUs --
 
     def boot_vdus(self, specs: list[VduSpec], profile: TimingProfile,
-                  id_prefix: str = "vdu", ids: list[str] | None = None) -> list[VduInstance]:
+                  ids: list[str] | None = None) -> list[VduInstance]:
         """Boot a batch of VDUs in parallel: all start now, the clock advances
         by the longest boot, and each instance's ready_at is its own span.
         The batch is atomic: any failure releases everything it allocated."""
@@ -268,7 +268,7 @@ class Vim:
                     if vdu_id in self._vdus:
                         raise VimError(f"duplicate vdu id {vdu_id!r}")
                 else:
-                    vdu_id = f"{id_prefix}-{self._next_vdu}"
+                    vdu_id = f"vdu-{self._next_vdu}"
                     self._next_vdu += 1
                 interfaces = []
                 for iface in spec.interfaces:
@@ -299,8 +299,8 @@ class Vim:
         self.clock.advance(longest)
         return instances
 
-    def boot_vdu(self, spec: VduSpec, profile: TimingProfile, id_prefix: str = "vdu") -> VduInstance:
-        return self.boot_vdus([spec], profile, id_prefix)[0]
+    def boot_vdu(self, spec: VduSpec, profile: TimingProfile) -> VduInstance:
+        return self.boot_vdus([spec], profile)[0]
 
     def vdu(self, vdu_id: str) -> VduInstance:
         try:

@@ -369,6 +369,24 @@ class TestDecodeOnDemand:
         assert [v for v in after["vdus"] if not v["id"].startswith("ns-2.")] == \
             [v for v in vim["vdus"] if not v["id"].startswith("ns-2.")]
 
+    def test_onboard_and_slice_create_parse_only_what_they_reference(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        for name in ("vnfd-wireguard-gateway.yaml", "vnfd-test-host.yaml", "nsd-wireguard-vpn.yaml"):
+            run_cli("--store", str(root), "onboard", str(SAMPLES / name))
+        catalog = root / "catalog"
+        (catalog / "vnfd-spare.yaml").write_text(
+            (catalog / "vnfd-test-host.yaml").read_text().replace("id: test-host", "id: spare"))
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        status, _, _ = run_cli("--store", str(root), "onboard", str(SAMPLES / "nsd-consumer.yaml"))
+        assert status == 0
+        assert parsed == [(catalog / "vnfd-test-host.yaml").read_text()]
+        run_cli("--store", str(root), "onboard", str(SAMPLES / "nst-vpn-slice.yaml"))
+        parsed.clear()
+        status, _, _ = run_cli("--store", str(root), "slice-create", "vpn-slice")
+        assert status == 0
+        assert sorted(parsed) == sorted(path.read_text() for path in catalog.glob("*.yaml")
+                                        if path.name != "vnfd-spare.yaml")
+
     def test_validate_and_ns_show_output_is_unchanged(self, tmp_path):
         # recorded from the store that decoded everything on load
         assert run_inspection_session(tmp_path) == INSPECTION.read_text(encoding="utf-8")
@@ -467,6 +485,34 @@ class TestFailureScope:
             self.assert_fails(root, "validate", str(SAMPLES / "nsd-consumer.yaml"),
                               prefix="catalog file")
 
+    def test_corrupt_unrelated_catalog_file(self, tmp_path):
+        root = tmp_path / "s"
+        for name in ("vnfd-wireguard-gateway.yaml", "vnfd-test-host.yaml"):
+            self.assert_works(root, "onboard", str(SAMPLES / name))
+        (root / "catalog" / "vnfd-unrelated.yaml").write_text("kind: vnfd\nid: [\n")
+        for name in ("nsd-wireguard-vpn.yaml", "nsd-consumer.yaml", "nst-vpn-slice.yaml"):
+            self.assert_works(root, "onboard", str(SAMPLES / name))
+        self.assert_works(root, "slice-create", "vpn-slice")
+        err = self.assert_fails(root, "validate", str(SAMPLES / "nsd-consumer.yaml"),
+                                prefix="catalog file")
+        assert "vnfd-unrelated.yaml" in err
+
+    def test_faulty_sibling_slice_template(self, tmp_path):
+        root = tmp_path / "s"
+        sibling = tmp_path / "nst-vpn-slice-2.yaml"
+        sibling.write_text((SAMPLES / "nst-vpn-slice.yaml").read_text()
+                           .replace("id: vpn-slice", "id: vpn-slice-2")
+                           .replace("connection-point: app-cp", "connection-point: no-such-cp"))
+        for name in ("vnfd-wireguard-gateway.yaml", "vnfd-test-host.yaml", "nsd-wireguard-vpn.yaml",
+                     "nsd-consumer.yaml", "nst-vpn-slice.yaml"):
+            self.assert_works(root, "onboard", str(SAMPLES / name))
+        self.assert_works(root, "onboard", str(sibling))
+        status, _, err = run_cli("--store", str(root), "slice-create", "vpn-slice-2")
+        assert status == 1
+        assert err == ("error: catalog validation failed for 'vpn-slice-2': "
+                       "nsd 'consumer' exposes no connection point 'no-such-cp'\n")
+        self.assert_works(root, "slice-create", "vpn-slice")
+
     def test_misnamed_catalog_file_is_a_store_error(self, tmp_path):
         root = tmp_path / "s"
         save_peered_store(root)
@@ -478,7 +524,7 @@ class TestFailureScope:
         assert str(impostor) in err and "'wg-gw'" in err
         orch = Store(root).load()
         with pytest.raises(store_module.StoreError, match="vnfd-impostor.yaml"):
-            orch.catalog.vnfd("impostor")
+            orch.catalog.get("vnfd", "impostor")
 
 
 def test_console_script_entry_point():

@@ -18,8 +18,9 @@ from slicevpn.descriptors import (
     parse_nsd,
     parse_nst,
     parse_vnfd,
+    reference_issues,
+    references,
     serialize_descriptor,
-    unresolved_references,
     validate_catalog,
 )
 
@@ -345,8 +346,20 @@ class TestCatalog:
     def test_unresolved_references_helper(self):
         catalog = Catalog()
         nsd = parse_nsd(TWO_MEMBER_NSD)
-        messages = unresolved_references(nsd, catalog)
-        assert len(messages) == 2 and all("unresolved vnfd ref" in m for m in messages)
+        assert references(nsd) == [("nsd:vpn/vnf-members/1", "vnfd", "wg-west"),
+                                   ("nsd:vpn/vnf-members/2", "vnfd", "wg-east")]
+        issues = reference_issues(nsd, catalog.get)
+        assert [(i.path, i.message) for i in issues] == [
+            ("nsd:vpn/vnf-members/1", "unresolved vnfd ref 'wg-west'"),
+            ("nsd:vpn/vnf-members/2", "unresolved vnfd ref 'wg-east'")]
+        # a resolved reference is checked against what it resolves to
+        catalog.add(parse_vnfd(MINIMAL_GATEWAY.replace("id: wg-gw", "id: wg-west")))
+        issues = reference_issues(nsd, catalog.get)
+        assert issues[0].message == "unresolved vnfd ref 'wg-east'"
+        assert [i.message for i in issues[1:]] == [
+            "member 1 (wg-west) declares no interface 'data'",
+            "member 1 (wg-west) declares no interface 'tunnel'",
+            "interface 'mgmt' of member 1 (wg-west) is not attached to any virtual link"]
 
 
 class TestCoerceParam:

@@ -31,7 +31,7 @@ class TestOnboarding:
             orch.ns_create(ADMIN, "wg-vpn")
 
     def test_resolved_catalog_has_no_warnings(self, orch):
-        nsd = orch.catalog.nsd("wg-vpn")
+        nsd = orch.catalog.get("nsd", "wg-vpn")
         assert orch.onboard_warnings(nsd) == []
         assert orch.catalog.validate().ok
 

@@ -1,14 +1,17 @@
+import errno
 import gc
 import json
 import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from conftest import create_vpn_instance, make_orchestrator, peer_gateways, save_peered_store
+from conftest import create_vpn_instance, make_orchestrator, peer_gateways, sample_text, save_peered_store
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
+from slicevpn.descriptors import parse_descriptor
 from slicevpn.lifecycle import Actor
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
 from slicevpn.transport import Endpoint
@@ -40,7 +43,7 @@ class TestRoundTrip:
     def test_catalog_survives_reload(self, tmp_path):
         store = build_and_save(tmp_path / "s")
         orch = store.load()
-        assert orch.catalog.nsd("wg-vpn") is not None
+        assert orch.catalog.get("nsd", "wg-vpn") is not None
         assert orch.catalog.validate().ok
 
     def test_actors_survive_reload(self, tmp_path):
@@ -99,7 +102,7 @@ class TestRoundTrip:
         orch.instances["ns-2"]  # one of each decoded, the others written back as loaded
         orch.vim.network("ns-2.tunnel")
         orch.vim.vdu("ns-2.m1.gw")
-        orch.catalog.vnfd("wg-gw")
+        orch.catalog.get("vnfd", "wg-gw")
         store.save(orch)
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
         orch = store.load()
@@ -156,6 +159,31 @@ class TestRoundTrip:
         west2 = reloaded.instances[instance_id].record(1).table
         assert west2.peers[east_key].allowed_ips == []
         assert west2.lookup_by_ip("10.0.2.9") == third
+
+
+class TestInterruptedSave:
+    def test_torn_catalog_write_leaves_no_torn_descriptor(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        gateway = parse_descriptor(sample_text("vnfd-wireguard-gateway.yaml"))
+        store = Store(root)
+        orch = store.load()
+        orch.onboard_package(gateway)
+        write_text = Path.write_text
+
+        def torn(path, data, *args, **kwargs):  # the disk fills up halfway through the file
+            write_text(path, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError):
+            store.save(orch)
+        monkeypatch.undo()
+        assert list((root / "catalog").glob("*.yaml")) == []
+        store = Store(root)
+        orch = store.load()
+        orch.onboard_package(gateway)  # re-onboarding the same file
+        store.save(orch)
+        assert Store(root).load().catalog.get("vnfd", "wg-gw") == gateway
 
 
 class TestLocking:
