@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from slicevpn.descriptors import parse_descriptor, validate_catalog
+from slicevpn.descriptors import load_strict_yaml, parse_descriptor, validate_catalog
 from slicevpn.errors import SliceVpnError
 from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_throughput
 from slicevpn.lifecycle import export_event_log
@@ -81,13 +81,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a missing or non-UTF-8 file is a domain
+    error, reported as one line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise SliceVpnError(f"cannot read {path}: {reason}") from exc
+
+
 def _load_yaml_params(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    from slicevpn.descriptors import load_strict_yaml
-
-    with open(path, encoding="utf-8") as f:
-        doc = load_strict_yaml(f.read())
+    doc = load_strict_yaml(_read_input(path))
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -108,8 +116,7 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
 def _load_profile(path: str | None):
     if path is None:
         return None
-    with open(path, encoding="utf-8") as f:
-        return load_timing_profile(f.read())
+    return load_timing_profile(_read_input(path))
 
 
 def _emit(args, obj: dict, human: str):
@@ -130,8 +137,7 @@ def _members_arg(text: str | None) -> tuple[int | None, int | None]:
 
 
 def cmd_onboard(orch, args) -> int:
-    with open(args.path, encoding="utf-8") as f:
-        descriptor = parse_descriptor(f.read())
+    descriptor = parse_descriptor(_read_input(args.path))
     entry_id = orch.onboard_package(descriptor, orch.actor(args.actor))
     warnings = orch.onboard_warnings(descriptor)
     _emit(args, {"onboarded": entry_id, "kind": descriptor.kind, "warnings": warnings},
@@ -145,8 +151,7 @@ def cmd_onboard(orch, args) -> int:
 def cmd_validate(orch, args) -> int:
     descriptors = list(orch.catalog.descriptors())
     for path in args.paths:
-        with open(path, encoding="utf-8") as f:
-            parsed = parse_descriptor(f.read())
+        parsed = parse_descriptor(_read_input(path))
         if orch.catalog.get(parsed.kind, parsed.id) == parsed:
             continue  # already onboarded with identical content
         descriptors.append(parsed)

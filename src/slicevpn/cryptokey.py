@@ -272,14 +272,13 @@ def _parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
 class CryptokeyRoutingTable:
     """One gateway interface's cryptokey state: local keypair, peers, counters."""
 
-    def __init__(self, local_keypair: KeyPair, interface_name: str = "wg0",
-                 listen_endpoint: Endpoint | None = None, tunnel_address: str | None = None):
+    def __init__(self, local_keypair: KeyPair, listen_endpoint: Endpoint | None = None,
+                 tunnel_address: str | None = None):
         if tunnel_address is not None:
             try:
                 ipaddress.IPv4Address(tunnel_address)
             except (ipaddress.AddressValueError, ValueError) as exc:
                 raise CryptokeyError(f"invalid tunnel address {tunnel_address!r}") from exc
-        self.interface_name = interface_name
         self.local_keypair = local_keypair
         self.listen_endpoint = listen_endpoint
         self.tunnel_address = tunnel_address

@@ -486,7 +486,7 @@ def parse_descriptor(text: str) -> Descriptor:
     """Parse any descriptor document, dispatching on its ``kind``."""
     doc = _require_mapping(load_strict_yaml(text), "/")
     kind = doc.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:  # a list or mapping is unhashable
         raise DescriptorSchemaError("/kind", f"unknown kind {kind!r}, expected one of {sorted(_PARSERS)}")
     return _PARSERS[kind](doc)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,7 +127,6 @@ class NetworkServiceInstance:
     networks: dict[str, str] = field(default_factory=dict)  # link name -> vim network name
     profile: TimingProfile = field(default_factory=default_profile)
     released: bool = False  # infrastructure torn down by ns_delete
-    wall_seconds: float = 0.0  # real time spent instantiating; informational only
 
     def record(self, member_index: int) -> VnfRecord:
         for r in self.vnf_records:
@@ -167,11 +165,10 @@ def export_event_log(instance: NetworkServiceInstance) -> str:
 class Orchestrator:
     """The NBI: catalog, instances, actors, and the machinery between them."""
 
-    def __init__(self, vim: Vim | None = None, backend=None, profile: TimingProfile | None = None):
+    def __init__(self, vim: Vim | None = None, backend=None):
         self.vim = vim or Vim()
         self.clock = self.vim.clock
         self.backend = backend if backend is not None else InMemoryBackend(self.clock)
-        self.default_profile = profile or default_profile()
         self.catalog = Catalog()
         self.instances: dict[str, NetworkServiceInstance] = {}
         self.slices: dict[str, SliceInstance] = {}
@@ -265,7 +262,7 @@ class Orchestrator:
             id=f"ns-{self._next_ns}",
             nsd_id=nsd_id,
             params=params,
-            profile=profile or self.default_profile,
+            profile=profile or default_profile(),
         )
         self._next_ns += 1
         self.instances[instance.id] = instance
@@ -274,15 +271,12 @@ class Orchestrator:
             f"{k}=<redacted>" if k.endswith("key-seed") else f"{k}={v}"
             for k, v in sorted(params.items()))
         self._emit(instance, "NBI", f"ns-create nsd={nsd_id}" + (f" params: {param_note}" if param_note else ""))
-        wall_start = time.perf_counter()
         try:
             self._deploy_infra(instance, nsd)
             self._configure_day1(instance, nsd)
         except SliceVpnError as exc:
-            instance.wall_seconds = time.perf_counter() - wall_start
             self._fail(instance, str(exc))
             raise
-        instance.wall_seconds = time.perf_counter() - wall_start
         self._set_state(instance, "Running")
         self._emit(instance, "NBI", f"instance {instance.id} running")
         return instance.id

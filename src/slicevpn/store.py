@@ -105,7 +105,6 @@ def _profile_from_doc(doc: dict) -> TimingProfile:
 
 def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
     return {
-        "interface-name": table.interface_name,
         "private-key-hex": table.local_keypair.private.hex(),
         "listen-endpoint": _endpoint(table.listen_endpoint),
         "tunnel-address": table.tunnel_address,
@@ -125,7 +124,6 @@ def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
 def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
     table = CryptokeyRoutingTable(
         local_keypair=generate_keypair(bytes.fromhex(doc["private-key-hex"])),
-        interface_name=doc["interface-name"],
         listen_endpoint=_unendpoint(doc["listen-endpoint"]),
         tunnel_address=doc["tunnel-address"],
     )
@@ -189,8 +187,6 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
 
 
 def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
-    # wall_seconds is not saved: it is a wall-clock span, and the same
-    # command sequence must leave the same state file
     return {
         "id": instance.id,
         "nsd-id": instance.nsd_id,
@@ -211,7 +207,6 @@ def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecor
         nsd_id=doc["nsd-id"],
         state=doc["state"],
         released=doc["released"],
-        wall_seconds=doc.get("wall-seconds", 0.0),
         params=dict(doc["params"]),
         networks=dict(doc["networks"]),
         profile=_profile_from_doc(doc["profile"]),
@@ -280,7 +275,6 @@ def _vdu_from_doc(doc: dict) -> VduInstance:
 def _vim_to_doc(vim: Vim) -> dict:
     return {
         "clock": _frac(vim.clock.now),
-        "next-vdu": vim._next_vdu,
         "networks": _documents(vim._networks, _network_to_doc),
         "vdus": _documents(vim._vdus, _vdu_to_doc),
     }
@@ -380,10 +374,9 @@ def _lazy(docs: list[dict], key: str, decode: Callable, where: str) -> LazyDocum
 def _orchestrator_from_doc(state: dict, backend, state_path: Path) -> Orchestrator:
     where = f"state file {state_path}:"
     vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
-    vim._next_vdu = state["vim"]["next-vdu"]
     vim._networks = _lazy(state["vim"]["networks"], "name", _network_from_doc, f"{where} network")
     vim._vdus = _lazy(state["vim"]["vdus"], "id", _vdu_from_doc, f"{where} vdu")
-    orch = Orchestrator(vim=vim, backend=backend, profile=_profile_from_doc(state["default-profile"]))
+    orch = Orchestrator(vim=vim, backend=backend)
     orch._next_ns = state["next-ns"]
     orch._next_slice = state["next-slice"]
     orch._next_slice_net = state["next-slice-net"]
@@ -439,7 +432,6 @@ class Store:
             "next-ns": orch._next_ns,
             "next-slice": orch._next_slice,
             "next-slice-net": orch._next_slice_net,
-            "default-profile": _profile_to_doc(orch.default_profile),
             "actors": [
                 {"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
                 for a in orch.actors.values()

@@ -3,13 +3,13 @@ with timing-profile-driven delays on a simulated clock.
 
 Simulated time is exact rational seconds, so boot and configuration delays
 reproduce identically on every run. One Vim instance is driven by one control
-context at a time; ``topology()`` returns immutable snapshots safe to share.
+context at a time.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -124,19 +124,16 @@ def load_timing_profile(text: str) -> TimingProfile:
     unknown = set(doc) - allowed
     if unknown:
         raise VimError(f"unknown profile keys: {sorted(unknown)}")
+    # TimingProfile turns every duration into exact seconds
     kwargs = {}
     if "base-boot-s" in doc:
-        kwargs["base_boot_s"] = _to_seconds(doc["base-boot-s"])
-    if "package-install-s" in doc:
-        m = doc["package-install-s"] or {}
-        if not isinstance(m, dict):
-            raise VimError("package-install-s must be a mapping")
-        kwargs["package_install_s"] = {str(k): _to_seconds(v) for k, v in m.items()}
-    if "primitive-exec-s" in doc:
-        m = doc["primitive-exec-s"] or {}
-        if not isinstance(m, dict):
-            raise VimError("primitive-exec-s must be a mapping")
-        kwargs["primitive_exec_s"] = {str(k): _to_seconds(v) for k, v in m.items()}
+        kwargs["base_boot_s"] = doc["base-boot-s"]
+    for key in ("package-install-s", "primitive-exec-s"):
+        if key in doc:
+            durations = doc[key] or {}
+            if not isinstance(durations, dict):
+                raise VimError(f"{key} must be a mapping")
+            kwargs[key.replace("-", "_")] = {str(k): v for k, v in durations.items()}
     if "preinstalled-packages" in doc:
         seq = doc["preinstalled-packages"] or []
         if not isinstance(seq, list):
@@ -198,19 +195,6 @@ class VduInstance:
         return None
 
 
-@dataclass(frozen=True)
-class TopologySnapshot:
-    networks: tuple[VirtualNetwork, ...]
-    vdus: tuple[VduInstance, ...]
-    attachments: tuple[tuple[str, str], ...]  # (vdu id, network name)
-
-    def network(self, name: str) -> VirtualNetwork | None:
-        for n in self.networks:
-            if n.name == name:
-                return n
-        return None
-
-
 class Vim:
     """Simulated infrastructure manager owning networks, VDUs, and the clock."""
 
@@ -218,7 +202,6 @@ class Vim:
         self.clock = clock or SimClock()
         self._networks: dict[str, VirtualNetwork] = {}
         self._vdus: dict[str, VduInstance] = {}
-        self._next_vdu = 1
 
     # -- networks --
 
@@ -250,26 +233,22 @@ class Vim:
     # -- VDUs --
 
     def boot_vdus(self, specs: list[VduSpec], profile: TimingProfile,
-                  ids: list[str] | None = None) -> list[VduInstance]:
-        """Boot a batch of VDUs in parallel: all start now, the clock advances
-        by the longest boot, and each instance's ready_at is its own span.
-        The batch is atomic: any failure releases everything it allocated."""
-        if ids is not None and len(ids) != len(specs):
+                  ids: list[str]) -> list[VduInstance]:
+        """Boot a batch of VDUs, ``specs[i]`` as ``ids[i]``, in parallel: all
+        start now, the clock advances by the longest boot, and each
+        instance's ready_at is its own span. The batch is atomic: any
+        failure releases everything it allocated."""
+        if len(ids) != len(specs):
             raise VimError("ids must match specs one-to-one")
         start = self.clock.now
         instances: list[VduInstance] = []
         allocated: list[tuple[VirtualNetwork, str]] = []
         longest = Fraction(0)
         try:
-            for pos, spec in enumerate(specs):
+            for vdu_id, spec in zip(ids, specs):
                 duration = profile.boot_duration(spec)  # validates packages before allocating
-                if ids is not None:
-                    vdu_id = ids[pos]
-                    if vdu_id in self._vdus:
-                        raise VimError(f"duplicate vdu id {vdu_id!r}")
-                else:
-                    vdu_id = f"vdu-{self._next_vdu}"
-                    self._next_vdu += 1
+                if vdu_id in self._vdus:
+                    raise VimError(f"duplicate vdu id {vdu_id!r}")
                 interfaces = []
                 for iface in spec.interfaces:
                     network = self.network(iface.network)
@@ -298,9 +277,6 @@ class Vim:
             raise
         self.clock.advance(longest)
         return instances
-
-    def boot_vdu(self, spec: VduSpec, profile: TimingProfile) -> VduInstance:
-        return self.boot_vdus([spec], profile)[0]
 
     def vdu(self, vdu_id: str) -> VduInstance:
         try:
@@ -331,15 +307,3 @@ class Vim:
         for iface in vdu.interfaces:
             self._networks[iface.network].release(f"{vdu_id}/{iface.name}")
         vdu.state = "Terminated"
-
-    # -- snapshots --
-
-    def topology(self) -> TopologySnapshot:
-        """Snapshot of the live infrastructure graph (terminated VDUs excluded)."""
-        live = [v for v in self._vdus.values() if v.state != "Terminated"]
-        networks = tuple(
-            VirtualNetwork(n.name, n.cidr, dict(n.allocations)) for n in self._networks.values()
-        )
-        vdus = tuple(replace(v, interfaces=tuple(v.interfaces)) for v in live)
-        attachments = tuple((v.id, i.network) for v in live for i in v.interfaces)
-        return TopologySnapshot(networks=networks, vdus=vdus, attachments=attachments)

@@ -201,6 +201,35 @@ class TestErrors:
         assert "warning: unresolved vnfd ref" in out
 
 
+class TestInputFiles:
+    """Every file the CLI reads fails as one `error:` line naming it."""
+
+    @pytest.mark.parametrize("what", ["missing", "non-utf8", "directory"])
+    def test_unreadable_input(self, tmp_path, what):
+        path = {"missing": tmp_path / "absent.yaml", "non-utf8": tmp_path / "latin1.yaml",
+                "directory": tmp_path}[what]
+        if what == "non-utf8":
+            path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+        s = ["--store", str(tmp_path / "s")]
+        for argv in (s + ["onboard", str(path)],
+                     s + ["validate", str(path)],
+                     s + ["ns-create", "wg-vpn", "--config", str(path)],
+                     s + ["ns-create", "wg-vpn", "--profile", str(path)],
+                     s + ["slice-create", "vpn-slice", "--config", str(path)],
+                     s + ["slice-create", "vpn-slice", "--profile", str(path)]):
+            status, out, err = run_cli(*argv)
+            assert status == 1 and out == "", argv
+            assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("kind", ["[]", "{a: 1}"])
+    def test_onboard_non_string_kind(self, tmp_path, kind):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"kind: {kind}\nschema-version: 1\nid: x\nname: x\n", encoding="utf-8")
+        status, out, err = run_cli("--store", str(tmp_path / "s"), "onboard", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith("error: schema error at /kind: unknown kind") and err.count("\n") == 1
+
+
 class TestValidate:
     def test_valid_set(self, tmp_path):
         status, out, _ = run_cli(
@@ -291,6 +320,57 @@ class TestLifecycleOverCli:
         status, out, _ = run_cli("--store", store, "slice-create", "vpn-slice")
         assert status == 0
         assert "sl-1" in out and "ns-1" in out and "ns-2" in out
+
+
+# state keys that stores written by earlier versions carry and this one ignores
+DROPPED_KEYS = ("default-profile", "next-vdu", "interface-name", "wall-seconds")
+
+
+def _add_dropped_keys(root: Path):
+    """Rewrite the store's state.json as an earlier version wrote it."""
+    path = root / "state.json"
+    state = json.loads(path.read_text())
+    state["default-profile"] = state["instances"][0]["profile"]
+    state["vim"]["next-vdu"] = 1
+    for instance in state["instances"]:
+        instance["wall-seconds"] = 0.25
+        for record in instance["vnf-records"]:
+            if record["table"] is not None:
+                record["table"]["interface-name"] = "wg0"
+    path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
+
+
+class TestOlderStores:
+    def test_fresh_session_writes_none_of_the_dropped_keys(self, tmp_path):
+        run_golden_session(str(tmp_path / "s"))
+        text = (tmp_path / "s" / "state.json").read_text()
+        assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
+
+    def test_store_with_dropped_keys_still_loads(self, tmp_path):
+        for name in ("fresh", "old"):
+            for argv in golden_session(str(tmp_path / name))[:-2]:  # all but kpi, ns-show
+                assert run_cli(*argv)[0] == 0, argv
+        old = tmp_path / "old"
+        _add_dropped_keys(old)
+        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"]):
+            fresh_run = run_cli("--store", str(tmp_path / "fresh"), *argv)
+            assert fresh_run[0] == 0
+            assert run_cli("--store", str(old), *argv) == fresh_run, argv
+
+        # save -> load -> save is stable; the untouched instance keeps its document
+        Store(old).save(Store(old).load())
+        first = (old / "state.json").read_bytes()
+        Store(old).save(Store(old).load())
+        assert (old / "state.json").read_bytes() == first
+        assert b'"default-profile"' not in first and b'"next-vdu"' not in first
+        assert _instance_documents(old)["ns-1"]["wall-seconds"] == 0.25
+
+        status, out, err = run_cli("--store", str(old), "ns-action", "ns-1", "1", "add-peer",
+                                   "--param", f"public-key={generate_keypair(bytes([9]) * 32).public_b64}",
+                                   "--param", "allowed-ips=10.9.0.0/24")
+        assert status == 0 and out.startswith("ok duration=60s"), err
+        text = (old / "state.json").read_text()
+        assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
 
 
 def _instance_documents(root: Path) -> dict[str, dict]:

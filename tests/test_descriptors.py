@@ -221,6 +221,14 @@ class TestParseNst:
         assert parse_nst(serialize_descriptor(d)) == d
 
 
+class TestParseDescriptor:
+    @pytest.mark.parametrize("kind", ["[]", "[vnfd]", "{a: 1}", "7", "null", "vnf"])
+    def test_unknown_or_non_string_kind_is_a_schema_error(self, kind):
+        with pytest.raises(DescriptorSchemaError, match="unknown kind") as err:
+            parse_descriptor(f"kind: {kind}\nschema-version: 1\nid: x\nname: x\n")
+        assert err.value.path == "/kind"
+
+
 class TestStrictYaml:
     def test_alias_rejected(self):
         # the anchor definition trips first; a bare alias cannot parse at all

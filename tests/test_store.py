@@ -106,8 +106,11 @@ class TestRoundTrip:
         store.save(orch)
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
         orch = store.load()
-        assert [i.id for i in orch.instances.values()] == ["ns-1", "ns-2", "ns-3"]  # all decoded
-        assert len(orch.vim.topology().networks) == 9
+        instances = list(orch.instances.values())  # all decoded, and every VIM entry too
+        assert [i.id for i in instances] == ["ns-1", "ns-2", "ns-3"]
+        networks = [orch.vim.network(n) for i in instances for n in i.networks.values()]
+        vdus = [orch.vim.vdu(v) for i in instances for r in i.vnf_records for v in r.vdu_ids]
+        assert len(networks) == 9 and len(vdus) == 12
         assert [d.id for d in orch.catalog.descriptors()] == [
             "consumer", "wg-vpn", "vpn-slice", "test-host", "wg-gw"]  # sorted file order
         store.save(orch)

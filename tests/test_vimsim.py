@@ -30,12 +30,21 @@ def make_vim() -> Vim:
     return vim
 
 
+def boot(vim: Vim, spec: VduSpec, profile: TimingProfile, vdu_id: str = "v1"):
+    """Boot one VDU as `vdu_id`."""
+    return vim.boot_vdus([spec], profile, [vdu_id])[0]
+
+
 class TestNetworks:
     def test_create_network_starts_empty(self):
         vim = Vim()
         net = vim.create_network("tunnel", "192.168.100.0/24")
         assert net.allocations == {}
-        assert vim.topology().network("tunnel") is not None
+        assert vim.network("tunnel") is net
+
+    def test_unknown_network(self):
+        with pytest.raises(VimError, match="unknown network 'tunnel'"):
+            Vim().network("tunnel")
 
     def test_duplicate_name(self):
         vim = make_vim()
@@ -64,40 +73,41 @@ class TestNetworks:
 class TestBoot:
     def test_gateway_boot_advances_159s(self):
         vim = make_vim()
-        vdu = vim.boot_vdu(GATEWAY_SPEC, default_profile())
+        vdu = boot(vim, GATEWAY_SPEC, default_profile())
         assert vim.clock.now == 159
         assert vdu.ready_at - vdu.boot_started_at == 159
-        assert vdu.state == "Ready"
+        assert vim.vdu("v1") is vdu and vdu.state == "Ready"
         assert vdu.forwarding_enabled
 
     def test_preinstalled_image_boots_in_57s(self):
         vim = make_vim()
-        vim.boot_vdu(GATEWAY_SPEC, preinstalled_profile())
+        boot(vim, GATEWAY_SPEC, preinstalled_profile())
         assert vim.clock.now == 57
 
     def test_zero_cost_boot_leaves_clock(self):
         vim = make_vim()
         spec = VduSpec(name="v", image="i", interfaces=(InterfaceSpec("tunnel", "tunnel"),))
-        vim.boot_vdu(spec, TimingProfile(base_boot_s=0))
+        boot(vim, spec, TimingProfile(base_boot_s=0))
         assert vim.clock.now == 0
 
     def test_unknown_package(self):
         vim = make_vim()
         spec = VduSpec(name="v", image="i", cloud_init_packages=("no-such-pkg",))
         with pytest.raises(VimError, match="unknown package"):
-            vim.boot_vdu(spec, default_profile())
+            boot(vim, spec, default_profile())
 
     def test_lowest_free_address_allocation(self):
         vim = make_vim()
-        first = vim.boot_vdu(GATEWAY_SPEC, TimingProfile(base_boot_s=0, package_install_s={"wireguard": 0}))
-        second = vim.boot_vdu(GATEWAY_SPEC, TimingProfile(base_boot_s=0, package_install_s={"wireguard": 0}))
+        profile = TimingProfile(base_boot_s=0, package_install_s={"wireguard": 0})
+        first = boot(vim, GATEWAY_SPEC, profile, "v1")
+        second = boot(vim, GATEWAY_SPEC, profile, "v2")
         assert first.interfaces[0].ip == "192.168.100.1"
         assert second.interfaces[0].ip == "192.168.100.2"
 
     def test_parallel_batch_advances_by_longest(self):
         vim = make_vim()
         quick = VduSpec(name="q", image="i", interfaces=(InterfaceSpec("tunnel", "tunnel"),))
-        booted = vim.boot_vdus([GATEWAY_SPEC, quick], default_profile())
+        booted = vim.boot_vdus([GATEWAY_SPEC, quick], default_profile(), ["gw", "q"])
         assert vim.clock.now == 159
         assert booted[0].ready_at == 159
         assert booted[1].ready_at == 57
@@ -107,10 +117,22 @@ class TestBoot:
         vim.create_network("tiny", "10.0.0.0/30")
         spec = VduSpec(name="v", image="i", interfaces=(InterfaceSpec("e", "tiny"),))
         profile = TimingProfile(base_boot_s=0)
-        vim.boot_vdu(spec, profile)
-        vim.boot_vdu(spec, profile)
+        boot(vim, spec, profile, "v1")
+        boot(vim, spec, profile, "v2")
         with pytest.raises(VimError, match="exhausted"):
-            vim.boot_vdu(spec, profile)
+            boot(vim, spec, profile, "v3")
+
+    def test_ids_must_match_specs(self):
+        with pytest.raises(VimError, match="one-to-one"):
+            make_vim().boot_vdus([GATEWAY_SPEC], default_profile(), [])
+
+    def test_duplicate_id_rejected(self):
+        vim = make_vim()
+        profile = TimingProfile(base_boot_s=0, package_install_s={"wireguard": 0})
+        boot(vim, GATEWAY_SPEC, profile, "v1")
+        with pytest.raises(VimError, match="duplicate vdu id 'v1'"):
+            boot(vim, GATEWAY_SPEC, profile, "v1")
+        assert list(vim.network("tunnel").allocations) == ["v1/tunnel"]  # the first boot's only
 
     def test_failed_batch_releases_everything(self):
         vim = Vim()
@@ -118,9 +140,11 @@ class TestBoot:
         spec = VduSpec(name="v", image="i", interfaces=(InterfaceSpec("e", "tiny"),))
         profile = TimingProfile(base_boot_s=3)
         with pytest.raises(VimError, match="exhausted"):
-            vim.boot_vdus([spec, spec, spec], profile)
+            vim.boot_vdus([spec, spec, spec], profile, ["a", "b", "c"])
         # atomic: the two successful boots were rolled back with their IPs
-        assert vim.topology().vdus == ()
+        for vdu_id in ("a", "b", "c"):
+            with pytest.raises(VimError, match="unknown vdu"):
+                vim.vdu(vdu_id)
         assert vim.network("tiny").allocations == {}
         assert vim.clock.now == 0  # no time charged for a failed batch
 
@@ -129,14 +153,14 @@ class TestTerminate:
     def test_released_ips_are_reallocatable(self):
         vim = make_vim()
         profile = TimingProfile(base_boot_s=0, package_install_s={"wireguard": 0})
-        first = vim.boot_vdu(GATEWAY_SPEC, profile)
+        first = boot(vim, GATEWAY_SPEC, profile, "v1")
         vim.terminate_vdu(first.id)
-        again = vim.boot_vdu(GATEWAY_SPEC, profile)
+        again = boot(vim, GATEWAY_SPEC, profile, "v2")
         assert again.interfaces[0].ip == "192.168.100.1"  # same lowest-free address
 
     def test_terminate_twice(self):
         vim = make_vim()
-        vdu = vim.boot_vdu(GATEWAY_SPEC, default_profile())
+        vdu = boot(vim, GATEWAY_SPEC, default_profile())
         vim.terminate_vdu(vdu.id)
         with pytest.raises(VimError, match="already terminated"):
             vim.terminate_vdu(vdu.id)
@@ -147,19 +171,19 @@ class TestTerminate:
 
 
 class TestTopology:
-    def test_empty_vim(self):
-        topo = Vim().topology()
-        assert topo.networks == () and topo.vdus == () and topo.attachments == ()
-
     def test_two_gateway_service_shape(self, running_vpn):
-        orch, _ = running_vpn
-        topo = orch.vim.topology()
-        gateways = [v for v in topo.vdus if v.id.endswith(".gw")]
-        hosts = [v for v in topo.vdus if v.id.endswith(".host")]
+        orch, instance_id = running_vpn
+        instance = orch.instances[instance_id]
+        vdus = [orch.vim.vdu(v) for r in instance.vnf_records for v in r.vdu_ids]
+        gateways = [v for v in vdus if v.id.endswith(".gw")]
+        hosts = [v for v in vdus if v.id.endswith(".host")]
         assert len(gateways) == 2 and len(hosts) == 2
-        assert len(topo.networks) == 3
-        tunnel_attached = {vdu for vdu, net in topo.attachments if net.endswith(".tunnel")}
+        assert {orch.vim.network(n).name for n in instance.networks.values()} == {
+            f"{instance_id}.data-west", f"{instance_id}.tunnel", f"{instance_id}.data-east"}
+        tunnel = orch.vim.network(instance.networks["tunnel"])
+        tunnel_attached = {v.id for v in vdus for i in v.interfaces if i.network == tunnel.name}
         assert {g.id for g in gateways} == tunnel_attached
+        assert len(tunnel.allocations) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
@@ -167,6 +191,7 @@ class TestTopology:
     def test_referential_closure(self, script):
         vim = Vim()
         nets = []
+        live = []  # ids of the booted VDUs not yet terminated
         profile = TimingProfile(base_boot_s=1)
         for i, (action, net_pick) in enumerate(script):
             if action == 0:
@@ -177,18 +202,23 @@ class TestTopology:
                 net = nets[net_pick % len(nets)]
                 spec = VduSpec(name=f"v{i}", image="i", interfaces=(InterfaceSpec("e", net),))
                 try:
-                    vim.boot_vdu(spec, profile)
+                    boot(vim, spec, profile, f"v{i}")
+                    live.append(f"v{i}")
                 except VimError:
                     pass  # exhausted is fine, graph must stay closed
-            elif action == 2:
-                live = [v.id for v in vim.topology().vdus]
-                if live:
-                    vim.terminate_vdu(live[net_pick % len(live)])
-        topo = vim.topology()
-        vdu_ids = {v.id for v in topo.vdus}
-        net_names = {n.name for n in topo.networks}
-        for vdu_id, net in topo.attachments:
-            assert vdu_id in vdu_ids and net in net_names
+            elif action == 2 and live:
+                vim.terminate_vdu(live.pop(net_pick % len(live)))
+        # every live interface sits on a known network holding its address,
+        # and every allocation belongs to a live interface
+        attached = {}
+        for vdu_id in live:
+            vdu = vim.vdu(vdu_id)
+            assert vdu.state == "Ready"
+            for iface in vdu.interfaces:
+                attached[iface.network, f"{vdu_id}/{iface.name}"] = iface.ip
+        allocated = {(name, ref): str(ip) for name in nets
+                     for ref, ip in vim.network(name).allocations.items()}
+        assert allocated == attached
 
 
 class TestClock:
@@ -196,9 +226,8 @@ class TestClock:
         stamps = []
         for _ in range(2):
             vim = make_vim()
-            vim.boot_vdu(GATEWAY_SPEC, default_profile())
-            vim.boot_vdu(GATEWAY_SPEC, default_profile())
-            stamps.append([(v.boot_started_at, v.ready_at) for v in vim.topology().vdus])
+            booted = [boot(vim, GATEWAY_SPEC, default_profile(), vdu_id) for vdu_id in ("v1", "v2")]
+            stamps.append([(v.boot_started_at, v.ready_at) for v in booted])
         assert stamps[0] == stamps[1]
 
     def test_boot_time_additivity_is_exact(self):
@@ -206,7 +235,7 @@ class TestClock:
                                 package_install_s={"a": Fraction(1, 7), "b": 2})
         spec = VduSpec(name="v", image="i", cloud_init_packages=("a", "b"))
         vim = Vim()
-        vdu = vim.boot_vdu(spec, profile)
+        vdu = boot(vim, spec, profile)
         assert vdu.ready_at - vdu.boot_started_at == Fraction(1, 3) + Fraction(1, 7) + 2
 
     def test_monotonic(self):
@@ -233,6 +262,20 @@ class TestProfile:
     def test_unknown_key_rejected(self):
         with pytest.raises(VimError, match="unknown profile keys"):
             load_timing_profile("boot: 1\n")
+
+    @pytest.mark.parametrize("key", ["package-install-s", "primitive-exec-s"])
+    def test_duration_table_must_be_a_mapping(self, key):
+        with pytest.raises(VimError, match=f"^{key} must be a mapping$"):
+            load_timing_profile(f"{key}: [1, 2]\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("base-boot-s: fast\n", "expected a duration"),
+        ("package-install-s:\n  wireguard: -1\n", ">= 0"),
+        ("primitive-exec-s:\n  add-peer: [60]\n", "expected a duration"),
+    ])
+    def test_bad_duration_rejected(self, text, message):
+        with pytest.raises(VimError, match=message):
+            load_timing_profile(text)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(VimError, match=">= 0"):
