@@ -158,12 +158,12 @@ def cmd_validate(orch, args) -> int:
     rep = validate_catalog(descriptors)
     if args.json:
         for issue in rep.issues:
-            print(json.dumps({"severity": issue.severity, "path": issue.path,
+            print(json.dumps({"severity": "error", "path": issue.path,
                               "message": issue.message}, sort_keys=True))
         print(json.dumps({"ok": rep.ok}, sort_keys=True))
     else:
         for issue in rep.issues:
-            print(f"{issue.severity} {issue.path}: {issue.message}")
+            print(f"error {issue.path}: {issue.message}")
         print("ok" if rep.ok else "invalid")
     return 0 if rep.ok else 1
 

@@ -131,13 +131,9 @@ def key_from_base64(text: str) -> bytes:
 
 
 def _as_key_bytes(key) -> bytes:
-    if isinstance(key, bytes):
-        if len(key) != 32:
-            raise CryptokeyError(f"key must be 32 bytes, got {len(key)}")
-        return key
-    if isinstance(key, str):
-        return key_from_base64(key)
-    raise CryptokeyError(f"not a key: {key!r}")
+    if not isinstance(key, bytes) or len(key) != 32:
+        raise CryptokeyError(f"not a 32-byte key: {key!r}")
+    return key
 
 
 # --- packets and envelopes ------------------------------------------------------

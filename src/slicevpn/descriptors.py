@@ -6,13 +6,20 @@ keys are rejected. Every document carries ``kind: vnfd | nsd | nst`` and
 ``schema-version: 1``; unknown keys anywhere are schema errors.
 
 All parsing functions are pure and total over well-formed documents; the
-returned dataclasses are immutable and compare field-for-field, so
+returned dataclasses are immutable and compare field-for-field. Each keeps
+the document it was parsed from, and serializing dumps that document, so
 ``parse(serialize(d)) == d`` holds for every valid descriptor.
+
+Ids and vdu, interface, virtual-link, connection-point, slice-link,
+primitive and param names become file names, VDU ids, param keys and event
+text, so each is a token (``_TOKEN``); references, images, display names
+and descriptions are free text.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -23,6 +30,8 @@ from slicevpn.errors import SliceVpnError
 SCHEMA_VERSION = 1
 
 PARAM_TYPES = ("string", "int", "ipaddr", "cidr", "endpoint")
+
+_TOKEN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class DescriptorError(SliceVpnError):
@@ -80,12 +89,15 @@ class VduSpec:
 
 @dataclass(frozen=True)
 class VnfDescriptor:
+    """A parsed VNF descriptor. ``doc`` is the document it was parsed from,
+    which the catalog writes back; it takes no part in ``==`` or the hash."""
     id: str
     name: str
     mgmt_interface: str
     vdus: tuple[VduSpec, ...]
     initial_config_primitives: tuple[PrimitiveSpec, ...] = ()
     config_primitives: tuple[PrimitiveSpec, ...] = ()
+    doc: dict = field(kw_only=True, compare=False, repr=False)
 
     kind = "vnfd"
 
@@ -121,11 +133,13 @@ class ConnectionPointSpec:
 
 @dataclass(frozen=True)
 class NsDescriptor:
+    """A parsed network service descriptor; ``doc`` as for ``VnfDescriptor``."""
     id: str
     name: str
     vnf_members: tuple[NsdVnfMember, ...]
     virtual_links: tuple[VirtualLinkSpec, ...] = ()
     connection_points: tuple[ConnectionPointSpec, ...] = ()
+    doc: dict = field(kw_only=True, compare=False, repr=False)
 
     kind = "nsd"
 
@@ -144,10 +158,12 @@ class SliceLinkSpec:
 
 @dataclass(frozen=True)
 class NstDescriptor:
+    """A parsed network slice template; ``doc`` as for ``VnfDescriptor``."""
     id: str
     name: str
     ns_members: tuple[str, ...]  # nsd ids, 1-based positions referenced by slice links
     slice_links: tuple[SliceLinkSpec, ...] = ()
+    doc: dict = field(kw_only=True, compare=False, repr=False)
 
     kind = "nst"
 
@@ -156,8 +172,7 @@ Descriptor = Union[VnfDescriptor, NsDescriptor, NstDescriptor]
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" | "warning"
+class ValidationIssue:  # always an error
     path: str
     message: str
 
@@ -168,10 +183,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not any(i.severity == "error" for i in self.issues)
-
-    def errors(self) -> list[ValidationIssue]:
-        return [i for i in self.issues if i.severity == "error"]
+        return not self.issues
 
 
 # --- strict YAML loading ------------------------------------------------------
@@ -284,6 +296,14 @@ def _get_str(mapping: dict, path: str, key: str) -> str:
     return value
 
 
+def _get_token(mapping: dict, path: str, key: str) -> str:
+    """``mapping[key]``, an id or name, which must be a token."""
+    value = mapping[key]
+    if not isinstance(value, str) or not _TOKEN.fullmatch(value):
+        raise DescriptorSchemaError(f"{path}/{key}", f"expected a token matching {_TOKEN.pattern}, got {value!r}")
+    return value
+
+
 def _get_int(mapping: dict, path: str, key: str) -> int:
     value = mapping[key]
     if not isinstance(value, int) or isinstance(value, bool):
@@ -327,14 +347,14 @@ def _document(source: str | dict, expected_kind: str) -> dict:
 def _parse_primitives(doc: dict, key: str, seen_names: set[str]) -> tuple[PrimitiveSpec, ...]:
     out: list[PrimitiveSpec] = []
     for path, mapping in _entries(doc, "", key, required=("name",), optional=("description", "params")):
-        name = _get_str(mapping, path, "name")
+        name = _get_token(mapping, path, "name")
         description = ""
         if "description" in mapping:
             description = _get_str(mapping, path, "description")
         params: list[PrimitiveParam] = []
         seen: set[str] = set()
         for ppath, pmap in _entries(mapping, path, "params", required=("name", "type")):
-            pname = _get_str(pmap, ppath, "name")
+            pname = _get_token(pmap, ppath, "name")
             ptype = _get_str(pmap, ppath, "type")
             if ptype not in PARAM_TYPES:
                 raise DescriptorSchemaError(f"{ppath}/type", f"unknown type {ptype!r}, expected one of {PARAM_TYPES}")
@@ -345,12 +365,12 @@ def _parse_primitives(doc: dict, key: str, seen_names: set[str]) -> tuple[Primit
 
 
 def _parse_vdu(mapping: dict, path: str) -> VduSpec:
-    name = _get_str(mapping, path, "name")
+    name = _get_token(mapping, path, "name")
     image = _get_str(mapping, path, "image")
     interfaces: list[InterfaceSpec] = []
     seen: set[str] = set()
     for ipath, imap in _entries(mapping, path, "interfaces", required=("name", "network")):
-        iname = _claim(seen, _get_str(imap, ipath, "name"), f"{ipath}/name", "interface name")
+        iname = _claim(seen, _get_token(imap, ipath, "name"), f"{ipath}/name", "interface name")
         interfaces.append(InterfaceSpec(iname, _get_str(imap, ipath, "network")))
     return VduSpec(
         name=name,
@@ -388,12 +408,13 @@ def parse_vnfd(source: str | dict) -> VnfDescriptor:
     initial = _parse_primitives(doc, "initial-config-primitives", primitive_names)
     config = _parse_primitives(doc, "config-primitives", primitive_names)
     return VnfDescriptor(
-        id=_get_str(doc, "", "id"),
+        id=_get_token(doc, "", "id"),
         name=_get_str(doc, "", "name"),
         mgmt_interface=mgmt,
         vdus=tuple(vdus),
         initial_config_primitives=initial,
         config_primitives=config,
+        doc=doc,
     )
 
 
@@ -416,7 +437,7 @@ def parse_nsd(source: str | dict) -> NsDescriptor:
     links: list[VirtualLinkSpec] = []
     seen_links: set[str] = set()
     for path, mapping in _entries(doc, "", "virtual-links", required=("name", "cidr", "attachments")):
-        lname = _claim(seen_links, _get_str(mapping, path, "name"), f"{path}/name", "virtual link name")
+        lname = _claim(seen_links, _get_token(mapping, path, "name"), f"{path}/name", "virtual link name")
         cidr = _check_cidr(_get_str(mapping, path, "cidr"), f"{path}/cidr")
         attachments: list[AttachmentRef] = []
         for apath, amap in _entries(mapping, path, "attachments", required=("member-index", "interface"),
@@ -431,18 +452,19 @@ def parse_nsd(source: str | dict) -> NsDescriptor:
     seen_cps: set[str] = set()
     for path, mapping in _entries(doc, "", "connection-points",
                                   required=("name", "member-index", "interface")):
-        cname = _claim(seen_cps, _get_str(mapping, path, "name"), f"{path}/name", "connection point")
+        cname = _claim(seen_cps, _get_token(mapping, path, "name"), f"{path}/name", "connection point")
         idx = _get_int(mapping, path, "member-index")
         if idx not in seen_idx:
             raise DescriptorSchemaError(f"{path}/member-index", f"undeclared member index {idx}")
         cps.append(ConnectionPointSpec(cname, idx, _get_str(mapping, path, "interface")))
 
     return NsDescriptor(
-        id=_get_str(doc, "", "id"),
+        id=_get_token(doc, "", "id"),
         name=_get_str(doc, "", "name"),
         vnf_members=tuple(members),
         virtual_links=tuple(links),
         connection_points=tuple(cps),
+        doc=doc,
     )
 
 
@@ -461,7 +483,7 @@ def parse_nst(source: str | dict) -> NstDescriptor:
     links: list[SliceLinkSpec] = []
     seen_links: set[str] = set()
     for path, mapping in _entries(doc, "", "slice-links", required=("name", "endpoints")):
-        lname = _claim(seen_links, _get_str(mapping, path, "name"), f"{path}/name", "slice link name")
+        lname = _claim(seen_links, _get_token(mapping, path, "name"), f"{path}/name", "slice link name")
         endpoints: list[SliceLinkEndpoint] = []
         for epath, emap in _entries(mapping, path, "endpoints", required=("ns-member", "connection-point"),
                                     at_least_one="endpoint"):
@@ -472,10 +494,11 @@ def parse_nst(source: str | dict) -> NstDescriptor:
         links.append(SliceLinkSpec(lname, tuple(endpoints)))
 
     return NstDescriptor(
-        id=_get_str(doc, "", "id"),
+        id=_get_token(doc, "", "id"),
         name=_get_str(doc, "", "name"),
         ns_members=members,
         slice_links=tuple(links),
+        doc=doc,
     )
 
 
@@ -494,90 +517,11 @@ def parse_descriptor(text: str) -> Descriptor:
 # --- serialization ------------------------------------------------------------
 
 
-def _primitive_to_doc(p: PrimitiveSpec) -> dict:
-    doc: dict = {"name": p.name}
-    if p.description:
-        doc["description"] = p.description
-    if p.params:
-        doc["params"] = [{"name": q.name, "type": q.type} for q in p.params]
-    return doc
-
-
-def descriptor_to_doc(d: Descriptor) -> dict:
-    """Plain-dict document form of a descriptor (the inverse of parsing)."""
-    if isinstance(d, VnfDescriptor):
-        doc: dict = {
-            "kind": "vnfd",
-            "schema-version": SCHEMA_VERSION,
-            "id": d.id,
-            "name": d.name,
-            "mgmt-interface": d.mgmt_interface,
-            "vdus": [
-                {
-                    "name": v.name,
-                    "image": v.image,
-                    "interfaces": [{"name": i.name, "network": i.network} for i in v.interfaces],
-                    "cloud-init-packages": list(v.cloud_init_packages),
-                    "requires-forwarding": v.requires_forwarding,
-                }
-                for v in d.vdus
-            ],
-        }
-        if d.initial_config_primitives:
-            doc["initial-config-primitives"] = [_primitive_to_doc(p) for p in d.initial_config_primitives]
-        if d.config_primitives:
-            doc["config-primitives"] = [_primitive_to_doc(p) for p in d.config_primitives]
-        return doc
-    if isinstance(d, NsDescriptor):
-        doc = {
-            "kind": "nsd",
-            "schema-version": SCHEMA_VERSION,
-            "id": d.id,
-            "name": d.name,
-            "vnf-members": [{"member-index": m.member_index, "vnfd-id": m.vnfd_id} for m in d.vnf_members],
-        }
-        if d.virtual_links:
-            doc["virtual-links"] = [
-                {
-                    "name": l.name,
-                    "cidr": l.cidr,
-                    "attachments": [
-                        {"member-index": a.member_index, "interface": a.interface} for a in l.attachments
-                    ],
-                }
-                for l in d.virtual_links
-            ]
-        if d.connection_points:
-            doc["connection-points"] = [
-                {"name": c.name, "member-index": c.member_index, "interface": c.interface}
-                for c in d.connection_points
-            ]
-        return doc
-    if isinstance(d, NstDescriptor):
-        doc = {
-            "kind": "nst",
-            "schema-version": SCHEMA_VERSION,
-            "id": d.id,
-            "name": d.name,
-            "ns-members": list(d.ns_members),
-        }
-        if d.slice_links:
-            doc["slice-links"] = [
-                {
-                    "name": l.name,
-                    "endpoints": [
-                        {"ns-member": e.ns_member, "connection-point": e.connection_point} for e in l.endpoints
-                    ],
-                }
-                for l in d.slice_links
-            ]
-        return doc
-    raise TypeError(f"not a descriptor: {type(d).__name__}")
-
-
 def serialize_descriptor(d: Descriptor) -> str:
-    """Serialize a descriptor to its document text."""
-    return yaml.safe_dump(descriptor_to_doc(d), sort_keys=False, default_flow_style=False)
+    """The text of the document `d` was parsed from: the operator's key order
+    and only the keys they wrote (comments are not kept). It parses back to a
+    descriptor equal to `d`."""
+    return yaml.safe_dump(d.doc, sort_keys=False, default_flow_style=False)
 
 
 # --- param value coercion -----------------------------------------------------
@@ -673,7 +617,7 @@ def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | N
     returns the descriptor a reference names, or ``None``: first every
     reference that does not resolve, then every use of a resolved one that
     does not fit it."""
-    issues = [ValidationIssue("error", path, f"unresolved {kind} ref {ref!r}")
+    issues = [ValidationIssue(path, f"unresolved {kind} ref {ref!r}")
               for path, kind, ref in references(d) if resolve(kind, ref) is None]
     if isinstance(d, NsDescriptor):
         member_vnfd = {m.member_index: resolve("vnfd", m.vnfd_id) for m in d.vnf_members}
@@ -683,12 +627,12 @@ def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | N
                 vnfd = member_vnfd.get(a.member_index)
                 if vnfd is not None and a.interface not in vnfd.interface_names():
                     issues.append(ValidationIssue(
-                        "error", f"nsd:{d.id}/virtual-links/{link.name}",
+                        f"nsd:{d.id}/virtual-links/{link.name}",
                         f"member {a.member_index} ({vnfd.id}) declares no interface {a.interface!r}"))
                 key = (a.member_index, a.interface)
                 if key in attached:
                     issues.append(ValidationIssue(
-                        "error", f"nsd:{d.id}/virtual-links/{link.name}",
+                        f"nsd:{d.id}/virtual-links/{link.name}",
                         f"interface {a.interface!r} of member {a.member_index} is already "
                         f"attached to link {attached[key]!r}"))
                 else:
@@ -701,14 +645,14 @@ def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | N
             for name in sorted(vnfd.interface_names()):
                 if (m.member_index, name) not in attached:
                     issues.append(ValidationIssue(
-                        "error", f"nsd:{d.id}/vnf-members/{m.member_index}",
+                        f"nsd:{d.id}/vnf-members/{m.member_index}",
                         f"interface {name!r} of member {m.member_index} ({vnfd.id}) "
                         f"is not attached to any virtual link"))
         for cp in d.connection_points:
             vnfd = member_vnfd.get(cp.member_index)
             if vnfd is not None and cp.interface not in vnfd.interface_names():
                 issues.append(ValidationIssue(
-                    "error", f"nsd:{d.id}/connection-points/{cp.name}",
+                    f"nsd:{d.id}/connection-points/{cp.name}",
                     f"member {cp.member_index} ({vnfd.id}) declares no interface {cp.interface!r}"))
     elif isinstance(d, NstDescriptor):
         for link in d.slice_links:
@@ -719,7 +663,7 @@ def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | N
                     continue  # unresolved ref already reported
                 if ep.connection_point not in {c.name for c in nsd.connection_points}:
                     issues.append(ValidationIssue(
-                        "error", f"nst:{d.id}/slice-links/{link.name}",
+                        f"nst:{d.id}/slice-links/{link.name}",
                         f"nsd {nsd_id!r} exposes no connection point {ep.connection_point!r}"))
     return issues
 
@@ -727,8 +671,8 @@ def reference_issues(d: Descriptor, resolve: Callable[[str, str], Descriptor | N
 def validate_catalog(descriptors: Iterable[Descriptor]) -> ValidationReport:
     """Report duplicate ids and dangling cross-references across a catalog.
 
-    Problems are report entries, never exceptions; ``ok`` is true iff no
-    entry has severity ``error``.
+    Problems are report entries, never exceptions; ``ok`` is true iff there
+    are none.
     """
     items = list(descriptors)
     issues: list[ValidationIssue] = []
@@ -736,7 +680,7 @@ def validate_catalog(descriptors: Iterable[Descriptor]) -> ValidationReport:
     for d in items:
         key = (d.kind, d.id)
         if key in by_key:
-            issues.append(ValidationIssue("error", f"{d.kind}:{d.id}", "duplicate id"))
+            issues.append(ValidationIssue(f"{d.kind}:{d.id}", "duplicate id"))
         else:
             by_key[key] = d
     for d in items:

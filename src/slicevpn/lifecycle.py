@@ -233,11 +233,10 @@ class Orchestrator:
 
     # -- event helpers --
 
-    def _emit(self, instance: NetworkServiceInstance, source: str, message: str,
-              ts: Fraction | None = None):
+    def _emit(self, instance: NetworkServiceInstance, source: str, message: str):
         # the export format is line-delimited; never let a value break it
         message = message.replace("\n", " ").replace("\r", " ")
-        instance.events.append(Event(ts if ts is not None else self.clock.now, source, message))
+        instance.events.append(Event(self.clock.now, source, message))
 
     def _set_state(self, instance: NetworkServiceInstance, state: str):
         if state not in _VALID_TRANSITIONS.get(instance.state, set()):
@@ -467,7 +466,7 @@ class Orchestrator:
             raise LifecycleError(
                 f"action {action!r} is not declared by vnfd {vnfd.id!r} config-primitives")
         params = dict(params or {})
-        typed = self._typecheck_params(declared[action], params)
+        self._typecheck_params(declared[action], params)
 
         duration = instance.profile.primitive_duration(action)
         started = self.clock.now
@@ -475,7 +474,7 @@ class Orchestrator:
         self._emit(instance, "VCA", f"action-start member={member} name={action}")
         finished = self.clock.advance(duration)
         try:
-            output = self._run_day2_action(record, action, typed)
+            output = self._run_day2_action(record, action, params)
         except SliceVpnError as exc:
             record.executed_primitives.append(ExecutedPrimitive(
                 action, params, started, finished, f"error: {exc}"))
@@ -491,36 +490,35 @@ class Orchestrator:
         return ActionResult(action=action, status="ok", output=output,
                             duration=finished - started)
 
-    def _typecheck_params(self, spec, params: dict[str, str]) -> dict[str, object]:
+    def _typecheck_params(self, spec, params: dict[str, str]):
+        """Refuse undeclared params and values that do not fit their declared type."""
         declared = {p.name: p.type for p in spec.params}
-        typed: dict[str, object] = {}
         for key, raw in params.items():
             if key not in declared:
                 raise LifecycleError(f"unknown param {key!r} for action {spec.name!r}")
             try:
-                typed[key] = coerce_param(declared[key], raw)
+                coerce_param(declared[key], raw)
             except SliceVpnError as exc:
                 raise LifecycleError(f"bad param {key!r}: {exc}") from exc
-        return typed
 
-    def _run_day2_action(self, record: VnfRecord, action: str, typed: dict[str, object]) -> dict[str, str]:
+    def _run_day2_action(self, record: VnfRecord, action: str, params: dict[str, str]) -> dict[str, str]:
         table = record.table
         if action in ("add-peer", "del-peer", "get-public-key", "start-wg", "stop-wg") and table is None:
             raise LifecycleError(f"member {record.member_index} is not a gateway (no cryptokey table)")
         if action == "add-peer":
-            if "public-key" not in typed or "allowed-ips" not in typed:
+            if "public-key" not in params or "allowed-ips" not in params:
                 raise LifecycleError("add-peer requires public-key and allowed-ips")
-            endpoint = typed.get("endpoint")
+            endpoint = params.get("endpoint")
             table.add_peer(
-                key_from_base64(str(typed["public-key"])),
-                list(typed["allowed-ips"]),
-                Endpoint(*endpoint) if endpoint is not None else None,
+                key_from_base64(params["public-key"]),
+                [prefix.strip() for prefix in params["allowed-ips"].split(",")],
+                Endpoint.parse(endpoint) if endpoint is not None else None,
             )
             return {}
         if action == "del-peer":
-            if "public-key" not in typed:
+            if "public-key" not in params:
                 raise LifecycleError("del-peer requires public-key")
-            table.del_peer(key_from_base64(str(typed["public-key"])))
+            table.del_peer(key_from_base64(params["public-key"]))
             return {}
         if action == "get-public-key":
             return {"public-key": table.public_key_b64}

@@ -230,6 +230,19 @@ class TestInputFiles:
         assert err.startswith("error: schema error at /kind: unknown kind") and err.count("\n") == 1
 
 
+class TestTokens:
+    @pytest.mark.parametrize("id_", ['"a/b"', '"x\\ny"'])
+    def test_onboard_of_a_non_token_id_writes_nothing(self, tmp_path, id_):
+        path = tmp_path / "bad.yaml"
+        path.write_text((SAMPLES / "vnfd-test-host.yaml").read_text().replace("id: test-host", f"id: {id_}"),
+                        encoding="utf-8")
+        store = tmp_path / "s"
+        status, out, err = run_cli("--store", str(store), "onboard", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith("error: schema error at /id: expected a token") and err.count("\n") == 1
+        assert not (store / "catalog").exists() and not (store / "state.json").exists()
+
+
 class TestValidate:
     def test_valid_set(self, tmp_path):
         status, out, _ = run_cli(
@@ -322,6 +335,90 @@ class TestLifecycleOverCli:
         assert "sl-1" in out and "ns-1" in out and "ns-2" in out
 
 
+class TestBench:
+    def test_latency_over_chosen_members(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        status, out, err = run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency",
+                                   "--members", "2,1", "--requests", "20")
+        assert status == 0, err
+        assert "  samples: 20\n" in out
+
+    @pytest.mark.parametrize("members,message", [
+        ("1", "error: --members expects two indices like 1,2, got '1'\n"),
+        ("3,4", "error: member 3 is not a gateway\n"),
+    ])
+    def test_bad_members(self, tmp_path, members, message):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        status, out, err = run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency",
+                                   "--members", members, "--requests", "20")
+        assert (status, out, err) == (1, "", message)
+
+    def test_throughput_on_mem_is_refused(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        status, out, err = run_cli("--store", store, "bench", "ns-1", "throughput")
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and "needs a backend latency > 0" in err and err.count("\n") == 1
+
+    def test_throughput_over_udp(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        status, out, err = run_cli("--store", store, "--json", "--backend", "udp", "bench", "ns-1",
+                                   "throughput", "--duration", "0.2")
+        assert status == 0, err
+        record = json.loads(out)
+        assert record["kind"] == "throughput" and int(record["bytes"]) > 0
+
+
+# add-peer's address params declared as plain strings, which the descriptor schema allows
+STRING_PARAMS_GATEWAY = (SAMPLES / "vnfd-wireguard-gateway.yaml").read_text(encoding="utf-8") \
+    .replace("type: cidr", "type: string").replace("type: endpoint", "type: string")
+
+
+class TestDay2Actions:
+    def _string_params_store(self, tmp_path: Path) -> str:
+        gateway = tmp_path / "gateway.yaml"
+        gateway.write_text(STRING_PARAMS_GATEWAY, encoding="utf-8")
+        store = str(tmp_path / "s")
+        for path in (gateway, SAMPLES / "vnfd-test-host.yaml", SAMPLES / "nsd-wireguard-vpn.yaml"):
+            assert run_cli("--store", store, "onboard", str(path))[0] == 0
+        assert run_cli("--store", store, "ns-create", "wg-vpn",
+                       "--config", str(SAMPLES / "config-seeded-keys.yaml"))[0] == 0
+        return store
+
+    def test_add_peer_with_string_typed_params(self, tmp_path):
+        store = self._string_params_store(tmp_path)
+        status, out, err = run_cli("--store", store, "ns-action", "ns-1", "1", "add-peer",
+                                   "--param", f"public-key={EAST_PUB}",
+                                   "--param", "allowed-ips=10.100.0.2/32, 10.0.2.0/24",
+                                   "--param", "endpoint=192.168.100.2:51820")
+        assert (status, out, err) == (0, "ok duration=60s\n", "")
+        table = Store(store).load().instances["ns-1"].record(1).table
+        peer = next(iter(table.peers.values()))
+        assert [str(n) for n in peer.allowed_ips] == ["10.100.0.2/32", "10.0.2.0/24"]
+        assert str(peer.endpoint) == "192.168.100.2:51820"
+
+    def test_bad_string_typed_endpoint_is_one_error_line(self, tmp_path):
+        store = self._string_params_store(tmp_path)
+        status, out, err = run_cli("--store", store, "ns-action", "ns-1", "1", "add-peer",
+                                   "--param", f"public-key={EAST_PUB}",
+                                   "--param", "allowed-ips=10.100.0.2/32",
+                                   "--param", "endpoint=nonsense")
+        assert (status, out, err) == (1, "", "error: expected ip:port, got 'nonsense'\n")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_failing_action_exits_1(self, tmp_path, json_mode):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        unknown = generate_keypair(bytes([9]) * 32).public_b64
+        status, out, err = run_cli("--store", store, *(["--json"] if json_mode else []),
+                                   "ns-action", "ns-1", "1", "del-peer", "--param", f"public-key={unknown}")
+        assert status == 1
+        if json_mode:
+            record = json.loads(out)
+            assert record["status"] == "error" and record["message"] == f"no peer {unknown}"
+            assert err == ""
+        else:
+            assert out == "" and err == f"error: no peer {unknown}\n"
+
+
 # state keys that stores written by earlier versions carry and this one ignores
 DROPPED_KEYS = ("default-profile", "next-vdu", "interface-name", "wall-seconds")
 
@@ -371,6 +468,38 @@ class TestOlderStores:
         assert status == 0 and out.startswith("ok duration=60s"), err
         text = (old / "state.json").read_text()
         assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
+
+    def test_catalog_files_written_with_every_optional_key_still_load(self, tmp_path):
+        # an earlier version wrote each catalog file from the parsed fields, defaults spelled out
+        root = tmp_path / "s"
+        save_peered_store(root, count=1)
+        host = root / "catalog" / "vnfd-test-host.yaml"
+        host.write_text(OLD_TEST_HOST_FILE, encoding="utf-8")
+        files = _catalog_files(root)
+        for argv in (["ns-create", "wg-vpn"], ["ns-action", "ns-2", "1", "get-public-key"],
+                     ["onboard", str(SAMPLES / "vnfd-test-host.yaml")],
+                     ["validate", *(str(path) for path in files)]):
+            status, out, err = run_cli("--store", str(root), *argv)
+            assert status == 0, (argv, err)
+        assert out == "ok\n"
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == files
+
+
+OLD_TEST_HOST_FILE = """\
+kind: vnfd
+schema-version: 1
+id: test-host
+name: benchmark-test-host
+mgmt-interface: data
+vdus:
+- name: host
+  image: ubuntu-18.04-minimal
+  interfaces:
+  - name: data
+    network: data
+  cloud-init-packages: []
+  requires-forwarding: false
+"""
 
 
 def _instance_documents(root: Path) -> dict[str, dict]:

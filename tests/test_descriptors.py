@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,11 +10,6 @@ from slicevpn.descriptors import (
     DescriptorError,
     DescriptorSchemaError,
     DescriptorSyntaxError,
-    NsDescriptor,
-    NsdVnfMember,
-    AttachmentRef,
-    VirtualLinkSpec,
-    ConnectionPointSpec,
     coerce_param,
     load_strict_yaml,
     parse_descriptor,
@@ -23,6 +21,9 @@ from slicevpn.descriptors import (
     serialize_descriptor,
     validate_catalog,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SAMPLE_DESCRIPTORS = sorted(p.name for p in SAMPLES.glob("*.yaml") if p.name.startswith(("vnfd-", "nsd-", "nst-")))
 
 MINIMAL_GATEWAY = """\
 kind: vnfd
@@ -214,7 +215,7 @@ class TestParseNst:
             "vnf-members:\n  - member-index: 1\n    vnfd-id: host\n"
             "connection-points:\n  - name: app-cp\n    member-index: 1\n    interface: data\n")
         report = validate_catalog([nst, vpn, consumer])
-        assert any("no connection point 'no-such-cp'" in i.message for i in report.errors())
+        assert any("no connection point 'no-such-cp'" in i.message for i in report.issues)
 
     def test_round_trip(self):
         d = parse_nst(NST_TEXT)
@@ -227,6 +228,75 @@ class TestParseDescriptor:
         with pytest.raises(DescriptorSchemaError, match="unknown kind") as err:
             parse_descriptor(f"kind: {kind}\nschema-version: 1\nid: x\nname: x\n")
         assert err.value.path == "/kind"
+
+
+class TestSerialize:
+    @pytest.mark.parametrize("name", SAMPLE_DESCRIPTORS)
+    def test_samples_round_trip_as_written(self, name):
+        text = (SAMPLES / name).read_text(encoding="utf-8")
+        d = parse_descriptor(text)
+        assert parse_descriptor(serialize_descriptor(d)) == d
+        assert yaml.safe_load(serialize_descriptor(d)) == yaml.safe_load(text)
+
+    def test_keeps_key_order_and_omits_unwritten_keys(self):
+        reordered = "name: h\nid: h\nkind: vnfd\nschema-version: 1\nmgmt-interface: m\n" \
+                    "vdus:\n- image: i\n  name: v\n  interfaces:\n  - network: n\n    name: m\n"
+        assert serialize_descriptor(parse_vnfd(reordered)) == reordered
+
+    def test_document_takes_no_part_in_equality(self):
+        d = parse_vnfd(MINIMAL_GATEWAY)
+        spelled_out = MINIMAL_GATEWAY.replace("    cloud-init-packages: [wireguard]\n",
+                                              "    cloud-init-packages: [wireguard]\n"
+                                              "    requires-forwarding: false\n")
+        assert parse_vnfd(spelled_out) == d and hash(parse_vnfd(spelled_out)) == hash(d)
+        assert "doc" not in repr(d)
+
+
+def _set(doc, path: str, value):
+    """Set the field at a schema path such as ``/vdus/0/name``."""
+    *parents, key = path.strip("/").split("/")
+    for part in parents:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    doc[key] = value
+
+
+class TestTokens:
+    """Ids and names become file names, VDU ids, param keys and event
+    lines, so each is one token; references and display text are free."""
+
+    @pytest.mark.parametrize("parse,text,path", [
+        (parse_vnfd, MINIMAL_GATEWAY, "/id"),
+        (parse_vnfd, MINIMAL_GATEWAY, "/vdus/0/name"),
+        (parse_vnfd, MINIMAL_GATEWAY, "/vdus/0/interfaces/0/name"),
+        (parse_vnfd, MINIMAL_GATEWAY, "/initial-config-primitives/1/name"),
+        (parse_vnfd, MINIMAL_GATEWAY, "/config-primitives/0/params/2/name"),
+        (parse_nsd, TWO_MEMBER_NSD, "/id"),
+        (parse_nsd, TWO_MEMBER_NSD, "/virtual-links/1/name"),
+        (parse_nsd, TWO_MEMBER_NSD + "connection-points:\n  - name: cp\n    member-index: 1\n"
+                                     "    interface: data\n", "/connection-points/0/name"),
+        (parse_nst, NST_TEXT, "/id"),
+        (parse_nst, NST_TEXT, "/slice-links/0/name"),
+    ])
+    @pytest.mark.parametrize("bad", ["a/b", "x\ny", "enable\nforwarding", "", "-x", "a b", "x\n", 7])
+    def test_ids_and_names_are_tokens(self, parse, text, path, bad):
+        doc = load_strict_yaml(text)
+        _set(doc, path, bad)
+        with pytest.raises(DescriptorSchemaError, match="expected a token") as err:
+            parse(doc)
+        assert err.value.path == path
+
+    def test_token_characters_accepted(self):
+        d = parse_vnfd(MINIMAL_GATEWAY.replace("id: wg-gw", "id: Wg_gw.2"))
+        assert d.id == "Wg_gw.2"
+
+    def test_references_and_display_text_are_free(self):
+        text = (MINIMAL_GATEWAY.replace("name: gateway", 'name: "West gateway / site 1"')
+                .replace("image: ubuntu", 'image: "ubuntu 18.04"')
+                .replace("  - name: get-public-key\n",
+                         '  - name: get-public-key\n    description: "prints the key: base64"\n'))
+        d = parse_vnfd(text)
+        assert d.name == "West gateway / site 1" and d.vdus[0].image == "ubuntu 18.04"
+        assert d.config_primitives[2].description == "prints the key: base64"
 
 
 class TestStrictYaml:
@@ -315,7 +385,7 @@ class TestCatalog:
             "  - name: data-east\n    cidr: 10.0.2.0/24\n    attachments:\n"
             "      - member-index: 2\n        interface: data\n", "")
         report = validate_catalog([gateway, east, parse_nsd(text)])
-        assert any("not attached to any virtual link" in i.message for i in report.errors())
+        assert any("not attached to any virtual link" in i.message for i in report.issues)
 
     def test_double_attachment_is_flagged(self):
         gateway = parse_vnfd(TWO_IFACE_GATEWAY)
@@ -323,26 +393,26 @@ class TestCatalog:
         text = TWO_MEMBER_NSD.replace("member-index: 1\n        interface: data",
                                       "member-index: 1\n        interface: tunnel")
         report = validate_catalog([gateway, east, parse_nsd(text)])
-        assert any("already attached" in i.message for i in report.errors())
+        assert any("already attached" in i.message for i in report.issues)
 
     def test_unresolved_vnfd_ref(self):
         nsd = parse_nsd(TWO_MEMBER_NSD)
         report = validate_catalog([nsd])
         assert not report.ok
-        assert any("unresolved vnfd ref" in i.message for i in report.errors())
+        assert any("unresolved vnfd ref" in i.message for i in report.issues)
 
     def test_duplicate_id(self):
         d1 = parse_vnfd(MINIMAL_GATEWAY)
         d2 = parse_vnfd(MINIMAL_GATEWAY.replace("name: gateway", "name: other"))
         report = validate_catalog([d1, d2])
-        assert any(i.message == "duplicate id" for i in report.errors())
+        assert any(i.message == "duplicate id" for i in report.issues)
 
     def test_attachment_interface_checked_against_vnfd(self):
         gateway = parse_vnfd(MINIMAL_GATEWAY.replace("id: wg-gw", "id: wg-west"))
         east = parse_vnfd(MINIMAL_GATEWAY.replace("id: wg-gw", "id: wg-east"))
         nsd = parse_nsd(TWO_MEMBER_NSD)  # expects data/tunnel interfaces, vnfds declare mgmt only
         report = validate_catalog([gateway, east, nsd])
-        assert any("declares no interface" in i.message for i in report.errors())
+        assert any("declares no interface" in i.message for i in report.issues)
 
     def test_catalog_add_rejects_changed_content(self):
         catalog = Catalog()
@@ -387,35 +457,44 @@ class TestCoerceParam:
             coerce_param(tag, raw)
 
 
-# --- property: round-trip over generated NSDs -----------------------------------
+# --- property: round-trip over generated NSD documents -------------------------
 
 _name = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12).filter(
     lambda s: not s.startswith("-"))
 
 
 @st.composite
-def nsds(draw):
+def nsd_docs(draw):
     n_members = draw(st.integers(min_value=1, max_value=4))
-    members = tuple(NsdVnfMember(i + 1, draw(_name)) for i in range(n_members))
+    doc = {
+        "kind": "nsd",
+        "schema-version": 1,
+        "id": draw(_name),
+        "name": draw(_name),
+        "vnf-members": [{"member-index": i + 1, "vnfd-id": draw(_name)} for i in range(n_members)],
+    }
     links = []
-    used = set()
     for i in range(draw(st.integers(min_value=0, max_value=3))):
-        name = f"link-{i}"
         octet = draw(st.integers(min_value=0, max_value=250))
-        attachments = tuple(
-            AttachmentRef(draw(st.integers(min_value=1, max_value=n_members)), draw(_name))
-            for _ in range(draw(st.integers(min_value=1, max_value=3))))
-        links.append(VirtualLinkSpec(name, f"10.{octet}.0.0/24", attachments))
-        used.add(name)
-    cps = tuple(
-        ConnectionPointSpec(f"cp-{i}", draw(st.integers(min_value=1, max_value=n_members)),
-                            draw(_name))
-        for i in range(draw(st.integers(min_value=0, max_value=2))))
-    return NsDescriptor(id=draw(_name), name=draw(_name), vnf_members=members,
-                        virtual_links=tuple(links), connection_points=cps)
+        attachments = [
+            {"member-index": draw(st.integers(min_value=1, max_value=n_members)), "interface": draw(_name)}
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        links.append({"name": f"link-{i}", "cidr": f"10.{octet}.0.0/24", "attachments": attachments})
+    if links:
+        doc["virtual-links"] = links
+    cps = [
+        {"name": f"cp-{i}", "member-index": draw(st.integers(min_value=1, max_value=n_members)),
+         "interface": draw(_name)}
+        for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    if cps:
+        doc["connection-points"] = cps
+    return doc
 
 
 @settings(max_examples=60, deadline=None)
-@given(nsds())
-def test_nsd_round_trip_property(nsd):
-    assert parse_descriptor(serialize_descriptor(nsd)) == nsd
+@given(nsd_docs())
+def test_nsd_round_trip_property(doc):
+    nsd = parse_nsd(doc)
+    text = serialize_descriptor(nsd)
+    assert parse_descriptor(text) == nsd
+    assert yaml.safe_load(text) == doc
