@@ -13,7 +13,7 @@ the document it was parsed from, and serializing dumps that document, so
 Ids and vdu, interface, virtual-link, connection-point, slice-link,
 primitive and param names become file names, VDU ids, param keys and event
 text, so each is a token (``_TOKEN``); references, images, display names
-and descriptions are free text.
+and descriptions are free text, though an image holds no control character.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ SCHEMA_VERSION = 1
 PARAM_TYPES = ("string", "int", "ipaddr", "cidr", "endpoint")
 
 _TOKEN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class DescriptorError(SliceVpnError):
@@ -367,6 +368,8 @@ def _parse_primitives(doc: dict, key: str, seen_names: set[str]) -> tuple[Primit
 def _parse_vdu(mapping: dict, path: str) -> VduSpec:
     name = _get_token(mapping, path, "name")
     image = _get_str(mapping, path, "image")
+    if _CONTROL.search(image):
+        raise DescriptorSchemaError(f"{path}/image", f"expected no control characters, got {image!r}")
     interfaces: list[InterfaceSpec] = []
     seen: set[str] = set()
     for ipath, imap in _entries(mapping, path, "interfaces", required=("name", "network")):

@@ -7,18 +7,21 @@ same clock. Gateway private keys live in this state file (it is the
 artifact's disk, like a real gateway's config directory) and are never
 echoed into reports, logs, or command output.
 
-Loading parses ``state.json`` but decodes nothing a command does not read:
-each instance, VIM network and VIM VDU stays the JSON document it was
-loaded as, and each catalog file stays unparsed, until a command first looks
-it up (``LazyDocuments``). A command's decode cost therefore follows what it
-touches, not the store's size. Saving writes ``state.json`` as compact,
-key-sorted JSON, with every untouched document written back as it was
-loaded, and writes a catalog file only for a descriptor that was onboarded
-since loading. Each file is written under a temporary name and renamed over
-the old one, catalog files before ``state.json``, so a save cut off midway
-leaves every file whole, old or new. A corrupt instance, network or VDU
-document, or a corrupt catalog file, fails only the commands that touch it,
-and ``--backend udp`` binds only the touched instances' gateway sockets.
+``state.json`` is compact JSON with one document per line: each instance,
+VIM network and VIM VDU on a line of its own, its key (``"id"`` or
+``"name"``) first, between skeleton lines that hold the global fields.
+Loading parses only the skeleton; each document stays its line's bytes, and
+each catalog file stays unparsed, until a command first looks it up
+(``LazyDocuments``), so a command's parse and decode cost follows what it
+touches, not the store's size. ``state.json`` in any other JSON layout is
+parsed whole, and the next save rewrites it in the line layout. Saving
+writes every untouched line back as its bytes and writes a catalog file
+only for a descriptor onboarded since loading. Each file is written under a
+temporary name and renamed over the old one, catalog files before
+``state.json``, so a save cut off midway leaves every file whole, old or
+new. A corrupt document line or catalog file fails only the commands that
+touch it, and ``--backend udp`` binds only the touched instances' gateway
+sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -32,7 +35,7 @@ import functools
 import ipaddress
 import json
 import os
-from collections.abc import Callable, Mapping, MutableMapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -272,24 +275,98 @@ def _vdu_from_doc(doc: dict) -> VduInstance:
     )
 
 
-def _vim_to_doc(vim: Vim) -> dict:
-    return {
-        "clock": _frac(vim.clock.now),
-        "networks": _documents(vim._networks, _network_to_doc),
-        "vdus": _documents(vim._vdus, _vdu_to_doc),
-    }
+# what keys the instance, VIM network and VIM VDU lines, and how each line starts
+_KEYS = ("id", "name", "id")
+_PREFIXES = tuple(b'{"' + key.encode("ascii") + b'":"' for key in _KEYS)
+
+
+def _encode(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _line(doc: dict, key: str) -> bytes:
+    """`doc` as one compact line: `key` first, for ``_key``, then the rest sorted."""
+    rest = _encode({k: v for k, v in doc.items() if k != key})
+    return b"".join((b'{"', key.encode("ascii"), b'":', _encode(doc[key]),
+                     b"," if rest != b"{}" else b"", rest[1:]))
+
+
+def _key(line: bytes, prefix: bytes) -> str:
+    """The key at the start of a document line that should start with `prefix`."""
+    if not line.startswith(prefix):
+        raise ValueError(f"a document line does not start with {prefix.decode()}")
+    return json.decoder.scanstring(line.decode("utf-8"), len(prefix))[0]
+
+
+def _lists(state: dict) -> tuple:
+    return state["instances"], state["vim"]["networks"], state["vim"]["vdus"]
+
+
+def _read_state(data: bytes) -> tuple[dict, list[dict[str, bytes]]]:
+    """The state's global fields, and its instance, network and VDU
+    documents as lines keyed as ``_KEYS`` says. A file not exactly in the
+    line layout is parsed whole, and its documents are encoded as lines."""
+    skeleton, groups = [], [[], [], []]
+    for line in data.split(b"\n"):
+        group = len(skeleton) - 1  # the group a document line here would belong to
+        if 0 <= group < len(groups) and line.startswith(_PREFIXES[group]):
+            groups[group].append(line.rstrip(b" \t\r").removesuffix(b","))
+        else:
+            skeleton.append(line)
+    try:  # a marker in place of each group: the state must hold each in its list
+        state = json.loads(b"%b0%b1%b2%b" % tuple(skeleton))  # TypeError unless four lines
+        exact = list(_lists(state)) == [[0], [1], [2]]
+    except (ValueError, KeyError, TypeError):
+        exact = False
+    if not exact:
+        state = json.loads(data)
+        groups = [[_line(doc, key) for doc in docs] for docs, key in zip(_lists(state), _KEYS)]
+    return state, [{_key(line, prefix): line for line in lines}
+                   for lines, prefix in zip(groups, _PREFIXES)]
+
+
+def _skeleton(orch: Orchestrator) -> tuple[bytes, ...]:
+    """The lines around the document lines: the state with ``_read_state``'s markers in place of
+    the three lists' documents, split there (no other list in it sits under their keys)."""
+    text = _encode({
+        "version": 1,
+        "vim": {"clock": _frac(orch.vim.clock.now), "networks": [1], "vdus": [2]},
+        "next-ns": orch._next_ns,
+        "next-slice": orch._next_slice,
+        "next-slice-net": orch._next_slice_net,
+        "actors": [{"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
+                   for a in orch.actors.values()],
+        "instances": [0],
+        "slices": [{"id": s.id, "nst-id": s.nst_id, "ns-instance-ids": list(s.ns_instance_ids),
+                    "networks": s.networks} for s in orch.slices.values()],
+    })
+    lines = []
+    for marker in (b'"instances":[0', b'"networks":[1', b'"vdus":[2'):
+        head, _, text = text.partition(marker)
+        lines.append(head + marker[:-1])
+    return (*lines, text)
+
+
+def _layout(skeleton: tuple[bytes, ...], groups: list[list[bytes]]) -> Iterator[bytes]:
+    """Each skeleton line, then the document lines of the group it opens."""
+    yield skeleton[0]
+    for lines, closing in zip(groups, skeleton[1:]):
+        for i, line in enumerate(lines):
+            yield (b",\n" if i else b"\n") + line
+        yield b"\n" + closing
 
 
 def _catalog_name(kind: str, id_: str) -> str:
     return f"{kind}-{id_}.yaml"
 
 
-def _write_atomic(path: Path, text: str):
-    """Replace `path` with `text` so that a reader, or a process killed
-    mid-write, sees the old file or the new one, never a torn one. The
+def _write_atomic(path: Path, pieces: Iterable[bytes]):
+    """Replace `path` with the joined `pieces` so that a reader, or a process
+    killed mid-write, sees the old file or the new one, never a torn one. The
     temporary name ends in ``.tmp``, so no ``*.yaml`` glob picks it up."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with tmp.open("wb") as f:
+        f.writelines(pieces)
     os.replace(tmp, path)
 
 
@@ -299,10 +376,11 @@ _DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionE
 
 
 class LazyDocuments(MutableMapping):
-    """A mapping whose loaded entries stay the documents they were loaded
-    as until first read; only then does ``decode`` turn one into its
-    object. ``Store.load`` keeps the instances, the VIM's networks and VDUs,
-    and the catalog in these, so a command decodes only what it touches.
+    """A mapping whose loaded entries stay as loaded (a ``state.json`` line,
+    a catalog file's path) until first read; only then does ``decode`` turn
+    one into its object. ``Store.load`` keeps the instances, the VIM's
+    networks and VDUs, and the catalog in these, so a command decodes only
+    what it touches.
 
     A malformed document raises ``StoreError`` naming ``describe(key)``,
     never a ``KeyError``, which ``Mapping.get`` would report as a missing
@@ -349,8 +427,8 @@ class LazyDocuments(MutableMapping):
         return len(self._entries)
 
     def documents(self, encode: Callable) -> list:
-        """Every entry's document, in order: an undecoded one as loaded,
-        the others through ``encode``."""
+        """Every entry, in order: an undecoded one as loaded, the others
+        through ``encode``."""
         return [entry if key in self._undecoded else encode(entry)
                 for key, entry in self._entries.items()]
 
@@ -366,24 +444,24 @@ def _documents(entries: Mapping, encode: Callable) -> list:
     return [encode(value) for value in entries.values()]
 
 
-def _lazy(docs: list[dict], key: str, decode: Callable, where: str) -> LazyDocuments:
-    """`docs` keyed by their `key` field, each decoded on first read."""
-    return LazyDocuments({doc[key]: doc for doc in docs}, decode, lambda k: f"{where} {k}")
+def _lazy(lines: dict[str, bytes], decode: Callable, where: str) -> LazyDocuments:
+    """`lines`, each parsed and decoded on first read."""
+    return LazyDocuments(lines, lambda line: decode(json.loads(line)), lambda k: f"{where} {k}")
 
 
-def _orchestrator_from_doc(state: dict, backend, state_path: Path) -> Orchestrator:
+def _orchestrator_from_doc(state: dict, lines: list, backend, state_path: Path) -> Orchestrator:
     where = f"state file {state_path}:"
+    instances, networks, vdus = lines
     vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
-    vim._networks = _lazy(state["vim"]["networks"], "name", _network_from_doc, f"{where} network")
-    vim._vdus = _lazy(state["vim"]["vdus"], "id", _vdu_from_doc, f"{where} vdu")
+    vim._networks = _lazy(networks, _network_from_doc, f"{where} network")
+    vim._vdus = _lazy(vdus, _vdu_from_doc, f"{where} vdu")
     orch = Orchestrator(vim=vim, backend=backend)
     orch._next_ns = state["next-ns"]
     orch._next_slice = state["next-slice"]
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    orch.instances = _lazy(state["instances"], "id",
-                           functools.partial(_decode_instance, backend=orch.backend),
+    orch.instances = _lazy(instances, functools.partial(_decode_instance, backend=orch.backend),
                            f"{where} instance")
     for sdoc in state.get("slices", []):
         orch.slices[sdoc["id"]] = SliceInstance(
@@ -424,31 +502,13 @@ class Store:
         for (kind, id_), descriptor in read:
             name = _catalog_name(kind, id_)
             if self._catalog_files.get(name) != descriptor:
-                _write_atomic(catalog_dir / name, serialize_descriptor(descriptor))
+                _write_atomic(catalog_dir / name, [serialize_descriptor(descriptor).encode("utf-8")])
                 self._catalog_files[name] = descriptor
-        state = {
-            "version": 1,
-            "vim": _vim_to_doc(orch.vim),
-            "next-ns": orch._next_ns,
-            "next-slice": orch._next_slice,
-            "next-slice-net": orch._next_slice_net,
-            "actors": [
-                {"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
-                for a in orch.actors.values()
-            ],
-            "instances": _documents(orch.instances, _instance_to_doc),
-            "slices": [
-                {
-                    "id": s.id,
-                    "nst-id": s.nst_id,
-                    "ns-instance-ids": list(s.ns_instance_ids),
-                    "networks": s.networks,
-                }
-                for s in orch.slices.values()
-            ],
-        }
+        groups = [_documents(orch.instances, lambda i: _line(_instance_to_doc(i), "id")),
+                  _documents(orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
+                  _documents(orch.vim._vdus, lambda v: _line(_vdu_to_doc(v), "id"))]
         # after the catalog files, so that the state never names a descriptor not on disk
-        _write_atomic(self.root / STATE_FILE, json.dumps(state, sort_keys=True, separators=(",", ":")))
+        _write_atomic(self.root / STATE_FILE, _layout(_skeleton(orch), groups))
 
     def load(self, backend=None) -> Orchestrator:
         """Rebuild the orchestrator. Instances, VIM entries and catalog
@@ -460,12 +520,9 @@ class Store:
             orch = Orchestrator(backend=backend)
         else:
             try:
-                state = json.loads(state_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
-                raise StoreError(f"corrupt state file {state_path}: {exc}") from exc
-            try:
-                orch = _orchestrator_from_doc(state, backend, state_path)
-            except _DECODE_ERRORS as exc:
+                state, lines = _read_state(state_path.read_bytes())
+                orch = _orchestrator_from_doc(state, lines, backend, state_path)
+            except (OSError, *_DECODE_ERRORS) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)
         return orch

@@ -7,6 +7,7 @@ Regenerate the golden transcript after an intentional output change with:
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -242,6 +243,18 @@ class TestTokens:
         assert err.startswith("error: schema error at /id: expected a token") and err.count("\n") == 1
         assert not (store / "catalog").exists() and not (store / "state.json").exists()
 
+    def test_onboard_of_an_image_with_a_line_break_writes_nothing(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text((SAMPLES / "vnfd-test-host.yaml").read_text()
+                        .replace("image: ubuntu-18.04-minimal", 'image: "ubuntu\\nevil line"'),
+                        encoding="utf-8")
+        store = tmp_path / "s"
+        status, out, err = run_cli("--store", str(store), "onboard", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith("error: schema error at /vdus/0/image: expected no control characters")
+        assert err.count("\n") == 1
+        assert not (store / "catalog").exists() and not (store / "state.json").exists()
+
 
 class TestValidate:
     def test_valid_set(self, tmp_path):
@@ -469,6 +482,34 @@ class TestOlderStores:
         text = (old / "state.json").read_text()
         assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
 
+    def test_other_json_layouts_load_and_are_rewritten_in_lines(self, tmp_path):
+        for argv in golden_session(str(tmp_path / "lines"))[:-2]:  # all but kpi, ns-show
+            assert run_cli(*argv)[0] == 0, argv
+        value = json.loads((tmp_path / "lines" / "state.json").read_bytes())
+        layouts = {
+            "indented": json.dumps(value, indent=2) + "\n",  # as `python -m json.tool` leaves it
+            "one-line": json.dumps(value, sort_keys=True, separators=(",", ":")),  # older versions
+            "crlf": (tmp_path / "lines" / "state.json").read_text().replace("\n", "\r\n"),
+        }
+        for name, text in layouts.items():
+            shutil.copytree(tmp_path / "lines", tmp_path / name)
+            (tmp_path / name / "state.json").write_bytes(text.encode())
+        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"]):
+            expected = run_cli("--store", str(tmp_path / "lines"), *argv)
+            assert expected[0] == 0
+            for name in layouts:
+                assert run_cli("--store", str(tmp_path / name), *argv) == expected, (name, argv)
+        for name in ("lines", *layouts):
+            assert run_cli("--store", str(tmp_path / name), "ns-action", "ns-1", "1",
+                           "get-public-key")[0] == 0
+        # each is rewritten in the line layout, to the value the same write gives there
+        written = (tmp_path / "lines" / "state.json").read_bytes()
+        state = json.loads(written)
+        documents = len(state["instances"]) + len(state["vim"]["networks"]) + len(state["vim"]["vdus"])
+        assert written.count(b"\n") == documents + 3
+        for name in layouts:
+            assert (tmp_path / name / "state.json").read_bytes() == written, name
+
     def test_catalog_files_written_with_every_optional_key_still_load(self, tmp_path):
         # an earlier version wrote each catalog file from the parsed fields, defaults spelled out
         root = tmp_path / "s"
@@ -533,6 +574,25 @@ class TestDecodeOnDemand:
         assert status == 0 and "total: 266 s" in out
         assert [doc["id"] for doc in instances] == ["ns-2"]
         assert parsed == [] and networks == [] and vdus == []
+
+    def test_kpi_parses_only_the_skeleton_and_its_instance_line(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root, count=20)
+        data = (root / "state.json").read_bytes()
+        ns2 = next(line for line in data.split(b"\n") if line.startswith(b'{"id":"ns-2",'))
+        parsed = []
+        loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "loads", spy)
+        status, out, _ = run_cli("--store", str(root), "kpi", "ns-2")
+        assert status == 0 and "total: 266 s" in out
+        assert len(parsed) == 2
+        assert parsed[0].startswith(b'{"actors":') and parsed[1] == ns2.removesuffix(b",")
+        assert sum(map(len, parsed)) < 0.05 * len(data)
 
     def test_ns_show_decodes_only_its_vim_entries(self, tmp_path, monkeypatch):
         save_peered_store(tmp_path / "s")
@@ -639,8 +699,9 @@ def _corrupt_vim(root: Path, section: str, key: str, entry_id: str, corrupt):
 
 
 class TestFailureScope:
-    """A corrupt VIM document or catalog file fails only the commands that
-    touch it, with one error line; other instances keep working."""
+    """A corrupt instance line, VIM document or catalog file fails only the
+    commands that touch it, with one error line; other instances keep
+    working."""
 
     def assert_fails(self, root: Path, *argv: str, prefix: str) -> str:
         status, _, err = run_cli("--store", str(root), *argv)
@@ -652,6 +713,38 @@ class TestFailureScope:
     def assert_works(self, root: Path, *argv: str):
         status, _, err = run_cli("--store", str(root), *argv)
         assert status == 0, err
+
+    def test_truncated_instance_line(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        path = root / "state.json"
+
+        def ns3_line() -> bytes:
+            return next(line for line in path.read_bytes().split(b"\n")
+                        if line.startswith(b'{"id":"ns-3",'))
+
+        line = ns3_line()
+        path.write_bytes(path.read_bytes().replace(line, line[:len(line) // 2]))
+        truncated = ns3_line()
+        assert len(truncated) < len(line)
+        err = self.assert_fails(root, "kpi", "ns-3", prefix="state file")
+        assert "instance ns-3" in err
+        self.assert_works(root, "kpi", "ns-1")
+        self.assert_works(root, "ns-show", "ns-2")
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        self.assert_works(root, "ns-action", "ns-2", "1", "add-peer", "--param", f"public-key={third}",
+                          "--param", "allowed-ips=10.9.0.0/24")
+        assert ns3_line() == truncated
+
+    @pytest.mark.parametrize("line", [b'{"id":"ns-3', b'{"id":"ns\\q-3","events":[]}'])
+    def test_unreadable_key_fails_the_whole_load(self, tmp_path, line):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        path = root / "state.json"
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(line if old.startswith(b'{"id":"ns-3",') else old for old in lines))
+        self.assert_fails(root, "kpi", "ns-1", prefix="state file")
+        self.assert_fails(root, "ns-show", "ns-2", prefix="state file")
 
     def test_corrupt_vim_network(self, tmp_path):
         root = tmp_path / "s"

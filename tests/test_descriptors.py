@@ -298,6 +298,15 @@ class TestTokens:
         assert d.name == "West gateway / site 1" and d.vdus[0].image == "ubuntu 18.04"
         assert d.config_primitives[2].description == "prints the key: base64"
 
+    @pytest.mark.parametrize("image", ["ubuntu\nevil line", "tab\there", "nul\x00", "cr\r", "del\x7f"])
+    def test_image_holds_no_control_character(self, image):
+        # ns-show prints the image on the VDU's one line
+        doc = load_strict_yaml(MINIMAL_GATEWAY)
+        _set(doc, "/vdus/0/image", image)
+        with pytest.raises(DescriptorSchemaError, match="expected no control characters") as err:
+            parse_vnfd(doc)
+        assert err.value.path == "/vdus/0/image"
+
 
 class TestStrictYaml:
     def test_alias_rejected(self):

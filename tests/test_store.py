@@ -11,7 +11,7 @@ import pytest
 
 from conftest import create_vpn_instance, make_orchestrator, peer_gateways, sample_text, save_peered_store
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
-from slicevpn.descriptors import parse_descriptor
+from slicevpn.descriptors import parse_descriptor, serialize_descriptor
 from slicevpn.lifecycle import Actor
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
 from slicevpn.transport import Endpoint
@@ -164,6 +164,44 @@ class TestRoundTrip:
         assert west2.lookup_by_ip("10.0.2.9") == third
 
 
+class TestLineLayout:
+    def test_one_document_per_line_around_the_skeleton(self, tmp_path):
+        save_peered_store(tmp_path / "s")
+        data = (tmp_path / "s" / STATE_FILE).read_bytes()
+        state = json.loads(data)
+        lines = data.split(b"\n")
+        groups = [state["instances"], state["vim"]["networks"], state["vim"]["vdus"]]
+        assert [len(docs) for docs in groups] == [3, 9, 12]
+        skeleton, docs = [], []
+        for line in lines:
+            (docs if line.startswith((b'{"id":"', b'{"name":"')) else skeleton).append(line)
+        assert len(skeleton) == 4 and len(docs) == 3 + 9 + 12
+        for docs_of_group in groups:
+            docs_of_group.clear()
+        # the skeleton is the state with the three lists empty, compact and key-sorted
+        assert b"".join(skeleton) == json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+        for line in docs:
+            doc = json.loads(line.removesuffix(b","))
+            key, *rest = doc
+            assert key in ("id", "name") and rest == sorted(rest)
+            assert line.removesuffix(b",") == json.dumps(doc, separators=(",", ":")).encode()
+
+    def test_save_replaces_state_file_once(self, tmp_path, monkeypatch):
+        store = save_peered_store(tmp_path / "s")
+        orch = store.load()
+        orch.instances["ns-2"]
+        replaced = []
+        replace = os.replace
+
+        def spy(src, dst):
+            replaced.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        store.save(orch)
+        assert replaced == [STATE_FILE]
+
+
 class TestInterruptedSave:
     def test_torn_catalog_write_leaves_no_torn_descriptor(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
@@ -171,16 +209,30 @@ class TestInterruptedSave:
         store = Store(root)
         orch = store.load()
         orch.onboard_package(gateway)
-        write_text = Path.write_text
+        open_ = Path.open
 
-        def torn(path, data, *args, **kwargs):  # the disk fills up halfway through the file
-            write_text(path, data[:len(data) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class TornFile:  # the disk fills up halfway through the file
+            def __init__(self, path, *args, **kwargs):
+                self.file = open_(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", torn)
-        with pytest.raises(OSError):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def writelines(self, pieces):
+                data = b"".join(pieces)
+                self.file.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: TornFile(path, *args, **kwargs))
+        with pytest.raises(OSError) as failure:
             store.save(orch)
         monkeypatch.undo()
+        assert failure.value.errno == errno.ENOSPC
+        written = serialize_descriptor(gateway).encode("utf-8")
+        assert (root / "catalog" / "vnfd-wg-gw.yaml.tmp").read_bytes() == written[:len(written) // 2]
         assert list((root / "catalog").glob("*.yaml")) == []
         store = Store(root)
         orch = store.load()
