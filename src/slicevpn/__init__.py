@@ -2,37 +2,3 @@
 infrastructure, a cryptokey-routed encrypted datapath, and a KPI harness."""
 
 __version__ = "0.1.0"
-
-from slicevpn.cryptokey import CryptokeyRoutingTable, generate_keypair
-from slicevpn.descriptors import parse_descriptor, serialize_descriptor, validate_catalog
-from slicevpn.errors import AuthorizationError, SliceVpnError
-from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_throughput
-from slicevpn.lifecycle import ADMIN, Actor, Orchestrator
-from slicevpn.transport import Endpoint, InMemoryBackend, UdpBackend
-from slicevpn.vimsim import SimClock, TimingProfile, Vim, load_timing_profile
-
-__all__ = [
-    "ADMIN",
-    "Actor",
-    "AuthorizationError",
-    "CryptokeyRoutingTable",
-    "Endpoint",
-    "InMemoryBackend",
-    "Orchestrator",
-    "SimClock",
-    "SliceVpnError",
-    "TimingProfile",
-    "TunnelPair",
-    "UdpBackend",
-    "Vim",
-    "__version__",
-    "generate_keypair",
-    "load_timing_profile",
-    "measure_kpis",
-    "parse_descriptor",
-    "report",
-    "run_latency",
-    "run_throughput",
-    "serialize_descriptor",
-    "validate_catalog",
-]

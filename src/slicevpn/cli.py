@@ -6,20 +6,25 @@ reports. State persists in a plain-file store directory between invocations
 (one invocation at a time; an advisory lock enforces it). All RBAC decisions
 happen in the lifecycle layer; ``--as`` only selects the acting identity.
 
-Exit status: 0 success, 1 domain error (single line on stderr), 2 usage.
+Output is written once the store is saved. Exit status: 0 success, 1 domain
+error (its single line on stderr is the only output) or a closed stdout, 2
+usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stdout
 
 from slicevpn.descriptors import load_strict_yaml, parse_descriptor, validate_catalog
 from slicevpn.errors import SliceVpnError
 from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_throughput
-from slicevpn.lifecycle import export_event_log
-from slicevpn.store import Store
+from slicevpn.lifecycle import export_event_log, unbind_gateway
+from slicevpn.store import Store, loaded
 from slicevpn.transport import UdpBackend
 from slicevpn.vimsim import VimError, format_seconds, load_timing_profile
 
@@ -79,6 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", help="gateway member pair, e.g. 1,2 (default: first two gateways)")
 
     return parser
+
+
+_PARSER = _build_parser()  # once per process: parsing leaves the parser as it was
 
 
 def _read_input(path: str) -> str:
@@ -303,20 +311,35 @@ _MUTATING = {"onboard", "ns-create", "ns-action", "ns-delete", "slice-create", "
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     store = Store(args.store)
     # mem passes None so the restored clock drives the backend
     backend = UdpBackend() if args.backend == "udp" else None
+    out = io.StringIO()  # written once the store is saved
     try:
         with store.lock():
             orch = store.load(backend=backend)
-            status = _COMMANDS[args.command](orch, args)
-            if args.command in _MUTATING:
-                store.save(orch)
-            return status
+            try:
+                with redirect_stdout(out):
+                    status = _COMMANDS[args.command](orch, args)
+                if args.command in _MUTATING:
+                    store.save(orch)
+            finally:  # after the save, which records the gateways as bound
+                for _, instance in loaded(orch.instances):
+                    for record in instance.vnf_records:
+                        unbind_gateway(record)
     except SliceVpnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone; keep the exit-time flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

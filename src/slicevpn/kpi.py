@@ -167,23 +167,16 @@ class TunnelPair:
         instance = orch.instances.get(instance_id)
         if instance is None:
             raise KpiError(f"instance not found: {instance_id}")
-        gateways = [r.member_index for r in instance.vnf_records if r.table is not None]
-        defaults = [m for m in gateways if m not in (member_a, member_b)]
-        if member_a is None:
-            if not defaults:
-                raise KpiError(f"instance {instance_id} has fewer than two gateways")
-            member_a = defaults.pop(0)
-        if member_b is None:
-            if not defaults:
-                raise KpiError(f"instance {instance_id} has fewer than two gateways")
-            member_b = defaults.pop(0)
-        rec_a = instance.record(member_a)
-        rec_b = instance.record(member_b)
+        spare = (r.member_index for r in instance.vnf_records
+                 if r.table is not None and r.member_index not in (member_a, member_b))
         sides = []
-        for rec in (rec_a, rec_b):
+        for member in (member_a, member_b):
+            if member is None and (member := next(spare, None)) is None:
+                raise KpiError(f"instance {instance_id} has fewer than two gateways")
+            rec = instance.record(member)
             if rec.table is None:
                 raise KpiError(f"member {rec.member_index} is not a gateway")
-            if rec.handle is None or rec.handle.closed:
+            if rec.handle is None:
                 raise KpiError(f"member {rec.member_index} has no bound transport (start-wg not run?)")
             sides.append(TunnelSide(rec.table, rec.handle, rec.table.tunnel_address))
         return cls(a=sides[0], b=sides[1], backend=orch.backend)

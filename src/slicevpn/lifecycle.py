@@ -153,6 +153,14 @@ _VALID_TRANSITIONS = {
 }
 
 
+def unbind_gateway(record: VnfRecord):
+    """Close the gateway's transport handle, if it is bound. A record never
+    keeps a closed handle, so ``record.handle is not None`` means bound."""
+    if record.handle is not None:
+        record.handle.close()
+        record.handle = None
+
+
 def export_event_log(instance: NetworkServiceInstance) -> str:
     """Line-delimited event export: ``<sim-ts> <source> <instance> <message>``."""
     lines = [
@@ -442,7 +450,7 @@ class Orchestrator:
         if record.table is None:
             raise LifecycleError(
                 f"member {record.member_index} has no cryptokey table (generate-keys not run)")
-        if record.handle is None or record.handle.closed:
+        if record.handle is None:
             record.handle = self.backend.bind(record.table.listen_endpoint, record.transport_scope)
 
     # -- Day-2 --
@@ -526,9 +534,7 @@ class Orchestrator:
             self._bind_gateway(record)
             return {}
         if action == "stop-wg":
-            if record.handle is not None and not record.handle.closed:
-                record.handle.close()
-            record.handle = None
+            unbind_gateway(record)
             return {}
         return {}  # declared but modelled as a timed no-op
 
@@ -550,9 +556,7 @@ class Orchestrator:
         if instance.released:
             raise LifecycleError(f"instance {instance_id} already terminated")
         for record in instance.vnf_records:
-            if record.handle is not None and not record.handle.closed:
-                record.handle.close()
-                record.handle = None
+            unbind_gateway(record)
             for vdu_id in record.vdu_ids:
                 vdu = self.vim.vdu(vdu_id)
                 if vdu.state != "Terminated":

@@ -150,7 +150,7 @@ def _record_to_doc(record: VnfRecord) -> dict:
         "vdu-ids": list(record.vdu_ids),
         "mgmt-address": record.mgmt_address,
         "transport-scope": record.transport_scope,
-        "bound": record.handle is not None and not record.handle.closed,
+        "bound": record.handle is not None,
         "initial-count": record.initial_count,
         "table": _table_to_doc(record.table) if record.table is not None else None,
         "executed-primitives": [
@@ -203,8 +203,10 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
     }
 
 
-def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecord]]:
-    """The instance, and the gateway records that were bound when it was saved."""
+def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
+    """The instance, with the gateways that were bound when it was saved
+    re-bound on `backend` once all of it has decoded."""
+    records = [_record_from_doc(rdoc) for rdoc in doc["vnf-records"]]
     instance = NetworkServiceInstance(
         id=doc["id"],
         nsd_id=doc["nsd-id"],
@@ -214,22 +216,11 @@ def _instance_from_doc(doc: dict) -> tuple[NetworkServiceInstance, list[VnfRecor
         networks=dict(doc["networks"]),
         profile=_profile_from_doc(doc["profile"]),
         events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
+        vnf_records=[record for record, _ in records],
     )
-    bound_records = []
-    for rdoc in doc["vnf-records"]:
-        record, bound = _record_from_doc(rdoc)
+    for record, bound in records:
         if bound and record.table is not None:
-            bound_records.append(record)
-        instance.vnf_records.append(record)
-    return instance, bound_records
-
-
-def _decode_instance(doc: dict, backend) -> NetworkServiceInstance:
-    """The instance, with the gateways that were bound when it was saved
-    re-bound on `backend`."""
-    instance, bound_records = _instance_from_doc(doc)
-    for record in bound_records:
-        record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
+            record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
     return instance
 
 
@@ -438,6 +429,12 @@ class LazyDocuments(MutableMapping):
                 if key not in self._undecoded]
 
 
+def loaded(entries: Mapping) -> list[tuple]:
+    """The (key, object) pairs in memory: those decoded or set since loading,
+    or every pair of a plain mapping."""
+    return entries.decoded() if isinstance(entries, LazyDocuments) else list(entries.items())
+
+
 def _documents(entries: Mapping, encode: Callable) -> list:
     if isinstance(entries, LazyDocuments):
         return entries.documents(encode)
@@ -461,7 +458,7 @@ def _orchestrator_from_doc(state: dict, lines: list, backend, state_path: Path) 
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    orch.instances = _lazy(instances, functools.partial(_decode_instance, backend=orch.backend),
+    orch.instances = _lazy(instances, functools.partial(_instance_from_doc, backend=orch.backend),
                            f"{where} instance")
     for sdoc in state.get("slices", []):
         orch.slices[sdoc["id"]] = SliceInstance(
@@ -498,8 +495,7 @@ class Store:
         catalog_dir.mkdir(exist_ok=True)
         entries = orch.catalog._entries
         # an entry not read since loading is still its file, unchanged
-        read = entries.decoded() if isinstance(entries, LazyDocuments) else entries.items()
-        for (kind, id_), descriptor in read:
+        for (kind, id_), descriptor in loaded(entries):
             name = _catalog_name(kind, id_)
             if self._catalog_files.get(name) != descriptor:
                 _write_atomic(catalog_dir / name, [serialize_descriptor(descriptor).encode("utf-8")])

@@ -4,6 +4,7 @@ Regenerate the golden transcript after an intentional output change with:
     python tests/test_cli.py --update-golden
 """
 
+import gc
 import io
 import json
 import os
@@ -379,6 +380,46 @@ class TestBench:
         assert status == 0, err
         record = json.loads(out)
         assert record["kind"] == "throughput" and int(record["bytes"]) > 0
+
+
+def _tx_counters(root: Path) -> list[int]:
+    """Each gateway's sent-packet counters, summed over its peers, as saved."""
+    state = json.loads((root / "state.json").read_bytes())
+    return [sum(record["table"]["tx-counters"].values())
+            for instance in state["instances"] for record in instance["vnf-records"]
+            if record["table"] is not None]
+
+
+class TestProcessHygiene:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_bench_into_a_closed_stdout_saves_and_exits_1(self, tmp_path, unbuffered):
+        # a lost save would seal the next bench's counters again under the same key
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the first line
+        try:
+            result = subprocess.run([sys.executable, "-m", "slicevpn.cli", "--store", str(root),
+                                     "bench", "ns-1", "latency", "--requests", "20"],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")  # no traceback, no error line
+        assert _tx_counters(root) == [count + 20 for count in before]
+
+    def test_a_command_leaves_no_cyclic_garbage(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"],
+                         ["ns-action", "ns-1", "1", "get-public-key"]):
+                status, _, err = run_cli("--store", store, *argv)
+                assert status == 0, err
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # add-peer's address params declared as plain strings, which the descriptor schema allows

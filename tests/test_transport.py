@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,13 +23,29 @@ EP_B = Endpoint("192.168.100.2", 51820)
 EP_C = Endpoint("192.168.100.3", 40000)
 
 
+def _closing(backend):
+    """`backend`, with every handle bound on it closed when the test ends."""
+    handles = []
+    bind = backend.bind
+
+    def bind_and_keep(endpoint, scope=""):
+        handles.append(bind(endpoint, scope))
+        return handles[-1]
+
+    backend.bind = bind_and_keep
+    yield backend
+    for handle in handles:
+        handle.close()  # a no-op for a handle the test closed itself
+
+
 @pytest.fixture(params=["mem", "udp"])
 def backend(request):
-    if request.param == "mem":
-        yield InMemoryBackend(SimClock())
-    else:
-        b = UdpBackend()
-        yield b
+    yield from _closing(InMemoryBackend(SimClock()) if request.param == "mem" else UdpBackend())
+
+
+@pytest.fixture
+def udp():
+    yield from _closing(UdpBackend())
 
 
 def _recv(handle, backend):
@@ -83,6 +102,15 @@ class TestContract:
             a.recv(0.01)
         with pytest.raises(TransportError, match="closed"):
             a.send(EP_B, b"x")
+
+    def test_close_twice_is_a_no_op(self, backend):
+        a = backend.bind(EP_A)
+        a.close()
+        a.close()
+        again = backend.bind(EP_A)  # the endpoint is free
+        a.close()  # and closing the old handle leaves the new binding alone
+        again.send(EP_A, b"still bound")
+        assert _recv(again, backend).data == b"still bound"
 
     def test_unbound_destination_is_silent_drop(self, backend):
         a = backend.bind(EP_A)
@@ -195,17 +223,15 @@ class TestInMemory:
 
 
 class TestUdp:
-    def test_recv_timeout_returns_none(self):
-        backend = UdpBackend()
-        handle = backend.bind(EP_A)
+    def test_recv_timeout_returns_none(self, udp):
+        handle = udp.bind(EP_A)
         assert handle.recv(0.05) is None
 
-    def test_scopes_isolate_domains(self):
-        backend = UdpBackend()
-        a1 = backend.bind(EP_A, scope="ns-1.tunnel")
-        b1 = backend.bind(EP_B, scope="ns-1.tunnel")
-        backend.bind(EP_A, scope="ns-2.tunnel")
-        b2 = backend.bind(EP_B, scope="ns-2.tunnel")
+    def test_scopes_isolate_domains(self, udp):
+        a1 = udp.bind(EP_A, scope="ns-1.tunnel")
+        b1 = udp.bind(EP_B, scope="ns-1.tunnel")
+        udp.bind(EP_A, scope="ns-2.tunnel")
+        b2 = udp.bind(EP_B, scope="ns-2.tunnel")
         a1.send(EP_B, b"one")
         assert b1.recv(2.0).data == b"one"
         assert b2.recv(0.05) is None
@@ -220,3 +246,13 @@ class TestUdp:
         assert Endpoint.parse("10.0.0.1:51820") == Endpoint("10.0.0.1", 51820)
         with pytest.raises(TransportError):
             Endpoint.parse("10.0.0.1")
+
+
+def test_importing_transport_loads_neither_the_vim_nor_yaml_nor_cryptography():
+    code = ("import sys, slicevpn.transport; "
+            "print([m for m in ('slicevpn.vimsim', 'yaml', 'cryptography') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
