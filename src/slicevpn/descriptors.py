@@ -18,12 +18,11 @@ and descriptions are free text, though an image holds no control character.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
-
-import yaml
 
 from slicevpn.errors import SliceVpnError
 
@@ -190,43 +189,51 @@ class ValidationReport:
 # --- strict YAML loading ------------------------------------------------------
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects aliases, anchors and explicit tags while it
-    composes, and non-scalar or duplicate mapping keys while it constructs,
-    so a document is scanned once."""
+@functools.cache
+def _strict_loader():
+    """The strict loader class, built on first use: importing this module imports no YAML."""
+    import yaml
 
-    def compose_node(self, parent, index):
-        event = self.peek_event()
-        if isinstance(event, yaml.AliasEvent):
-            problem = "aliases are not allowed"
-        elif event.anchor:
-            problem = "anchors are not allowed"
-        elif event.tag:
-            problem = "explicit tags are not allowed"
-        else:
-            return super().compose_node(parent, index)
-        mark = event.start_mark
-        raise DescriptorSyntaxError(problem, mark.line + 1, mark.column + 1)
+    class StrictLoader(yaml.SafeLoader):
+        """SafeLoader that rejects aliases, anchors and explicit tags while it
+        composes, and non-scalar or duplicate mapping keys while it
+        constructs, so a document is scanned once."""
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            mark = key_node.start_mark
-            if not isinstance(key_node, yaml.ScalarNode):
-                raise DescriptorSyntaxError("mapping keys must be scalars", mark.line + 1, mark.column + 1)
-            key = self.construct_object(key_node, deep=True)
-            if key in seen:
-                raise DescriptorSyntaxError(
-                    f"duplicate mapping key {key!r}", mark.line + 1, mark.column + 1
-                )
-            seen.add(key)
-        return super().construct_mapping(node, deep)
+        def compose_node(self, parent, index):
+            event = self.peek_event()
+            if isinstance(event, yaml.AliasEvent):
+                problem = "aliases are not allowed"
+            elif event.anchor:
+                problem = "anchors are not allowed"
+            elif event.tag:
+                problem = "explicit tags are not allowed"
+            else:
+                return super().compose_node(parent, index)
+            mark = event.start_mark
+            raise DescriptorSyntaxError(problem, mark.line + 1, mark.column + 1)
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                mark = key_node.start_mark
+                if not isinstance(key_node, yaml.ScalarNode):
+                    raise DescriptorSyntaxError("mapping keys must be scalars", mark.line + 1, mark.column + 1)
+                key = self.construct_object(key_node, deep=True)
+                if key in seen:
+                    raise DescriptorSyntaxError(
+                        f"duplicate mapping key {key!r}", mark.line + 1, mark.column + 1
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return StrictLoader
 
 
 def load_strict_yaml(text: str):
     """Parse the YAML subset: no anchors, aliases, tags, or duplicate keys."""
+    import yaml
     try:
-        return yaml.load(text, Loader=_StrictLoader)
+        return yaml.load(text, Loader=_strict_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -524,6 +531,7 @@ def serialize_descriptor(d: Descriptor) -> str:
     """The text of the document `d` was parsed from: the operator's key order
     and only the keys they wrote (comments are not kept). It parses back to a
     descriptor equal to `d`."""
+    import yaml
     return yaml.safe_dump(d.doc, sort_keys=False, default_flow_style=False)
 
 

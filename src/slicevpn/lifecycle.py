@@ -33,6 +33,7 @@ from slicevpn.descriptors import (
     Descriptor,
     InterfaceSpec,
     NsDescriptor,
+    PrimitiveSpec,
     VduSpec,
     VnfDescriptor,
     coerce_param,
@@ -108,6 +109,9 @@ class VnfRecord:
     transport_scope: str = ""  # the tunnel network this gateway's endpoint lives on
     executed_primitives: list[ExecutedPrimitive] = field(default_factory=list)
     initial_count: int = 0  # first N executed_primitives are Day-1
+    # the Day-2 primitives its VNFD declares; None in a record loaded from a store
+    # written before records kept them
+    config_primitives: tuple[PrimitiveSpec, ...] | None = None
 
     def first_action(self, name: str) -> ExecutedPrimitive | None:
         for p in self.executed_primitives[self.initial_count:]:
@@ -147,7 +151,7 @@ _VALID_TRANSITIONS = {
     "Created": {"DeployingInfra", "Failed"},
     "DeployingInfra": {"ConfiguringDay1", "Failed"},
     "ConfiguringDay1": {"Running", "Failed"},
-    "Running": {"Terminated", "Failed"},
+    "Running": {"Terminated"},  # a failed Day-2 action fails the action only
     "Terminated": set(),
     "Failed": set(),
 }
@@ -335,7 +339,8 @@ class Orchestrator:
         owners: list[tuple[VnfRecord, VnfDescriptor]] = []
         for member in sorted(nsd.vnf_members, key=lambda m: m.member_index):
             vnfd = self.catalog.get("vnfd", member.vnfd_id)
-            record = VnfRecord(member_index=member.member_index, vnfd_id=vnfd.id, vdu_ids=[])
+            record = VnfRecord(member_index=member.member_index, vnfd_id=vnfd.id, vdu_ids=[],
+                               config_primitives=vnfd.config_primitives)
             instance.vnf_records.append(record)
             for vdu in vnfd.vdus:
                 resolved = []
@@ -459,20 +464,24 @@ class Orchestrator:
                   params: dict[str, str] | None = None) -> ActionResult:
         """Run a declared Day-2 primitive on one member of a running instance.
 
+        The action and its params are checked against the primitives that the
+        member's VNF record copied from its VNFD, so no catalog file is read.
         Requests rejected before execution (bad state, undeclared action, bad
         params, authorization) raise; a primitive that fails while executing
-        marks the instance Failed and returns an error ActionResult.
+        returns an error ActionResult and leaves the instance Running (every
+        primitive checks its input before it changes anything).
         """
         self._require(actor, "ns_action", instance_id)
         instance = self._instance(instance_id)
         if instance.state != "Running":
             raise LifecycleError(f"instance {instance_id} is {instance.state}, not Running")
         record = instance.record(member)
-        vnfd = self.catalog.get("vnfd", record.vnfd_id)
-        declared = {p.name: p for p in vnfd.config_primitives}
+        if record.config_primitives is None:
+            record.config_primitives = self.catalog.get("vnfd", record.vnfd_id).config_primitives
+        declared = {p.name: p for p in record.config_primitives}
         if action not in declared:
             raise LifecycleError(
-                f"action {action!r} is not declared by vnfd {vnfd.id!r} config-primitives")
+                f"action {action!r} is not declared by vnfd {record.vnfd_id!r} config-primitives")
         params = dict(params or {})
         self._typecheck_params(declared[action], params)
 
@@ -487,7 +496,6 @@ class Orchestrator:
             record.executed_primitives.append(ExecutedPrimitive(
                 action, params, started, finished, f"error: {exc}"))
             self._emit(instance, "VCA", f"action-failed member={member} name={action}")
-            self._fail(instance, f"action {action} failed: {exc}")
             return ActionResult(action=action, status="error", output={},
                                 duration=finished - started, message=str(exc))
         record.executed_primitives.append(ExecutedPrimitive(

@@ -19,9 +19,10 @@ writes every untouched line back as its bytes and writes a catalog file
 only for a descriptor onboarded since loading. Each file is written under a
 temporary name and renamed over the old one, catalog files before
 ``state.json``, so a save cut off midway leaves every file whole, old or
-new. A corrupt document line or catalog file fails only the commands that
-touch it, and ``--backend udp`` binds only the touched instances' gateway
-sockets.
+new. A VNF record keeps the Day-2 primitives its VNFD declares, so
+``ns-action`` reads no catalog file. A corrupt document line or catalog file
+fails only the commands that touch it, and ``--backend udp`` binds only the
+touched instances' gateway sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -41,7 +42,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, generate_keypair
-from slicevpn.descriptors import Descriptor, DescriptorError, parse_descriptor, serialize_descriptor
+from slicevpn.descriptors import (Descriptor, DescriptorError, PrimitiveParam, PrimitiveSpec,
+                                  parse_descriptor, serialize_descriptor)
 from slicevpn.errors import SliceVpnError
 from slicevpn.lifecycle import (
     Actor,
@@ -152,6 +154,9 @@ def _record_to_doc(record: VnfRecord) -> dict:
         "transport-scope": record.transport_scope,
         "bound": record.handle is not None,
         "initial-count": record.initial_count,
+        # each primitive's params as "name:type" words, in order: a record line parses to few objects
+        "config-primitives": None if record.config_primitives is None else {
+            p.name: " ".join(f"{q.name}:{q.type}" for q in p.params) for p in record.config_primitives},
         "table": _table_to_doc(record.table) if record.table is not None else None,
         "executed-primitives": [
             {
@@ -167,6 +172,7 @@ def _record_to_doc(record: VnfRecord) -> dict:
 
 
 def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
+    primitives = doc.get("config-primitives")  # None in an older store; ns_action fills it
     record = VnfRecord(
         member_index=doc["member-index"],
         vnfd_id=doc["vnfd-id"],
@@ -174,6 +180,9 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
         mgmt_address=doc["mgmt-address"],
         transport_scope=doc["transport-scope"],
         initial_count=doc["initial-count"],
+        config_primitives=None if primitives is None else tuple(
+            PrimitiveSpec(name, tuple(PrimitiveParam(*word.split(":")) for word in params.split()))
+            for name, params in primitives.items()),
         table=_table_from_doc(doc["table"]) if doc["table"] is not None else None,
         executed_primitives=[
             ExecutedPrimitive(

@@ -20,6 +20,7 @@ from conftest import save_peered_store
 from slicevpn import store as store_module
 from slicevpn.cli import main
 from slicevpn.cryptokey import generate_keypair
+from slicevpn.descriptors import Catalog
 from slicevpn.store import Store
 
 REPO = Path(__file__).resolve().parent.parent
@@ -408,6 +409,19 @@ class TestProcessHygiene:
         assert (result.returncode, result.stderr) == (1, b"")  # no traceback, no error line
         assert _tx_counters(root) == [count + 20 for count in before]
 
+    def test_reading_commands_and_day2_actions_never_import_yaml(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        code = ("import sys, slicevpn.cli\n"
+                "loaded = ['yaml' in sys.modules]\n"
+                "for argv in (['kpi', 'ns-1'], ['ns-show', 'ns-1'], ['ns-action', 'ns-1', '1', 'get-public-key']):\n"
+                "    assert slicevpn.cli.main(['--store', sys.argv[1], *argv]) == 0\n"
+                "    loaded.append('yaml' in sys.modules)\n"
+                "print(loaded, file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", code, store], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "[False, False, False, False]\n")
+
     def test_a_command_leaves_no_cyclic_garbage(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
         gc.collect()
@@ -665,6 +679,55 @@ class TestDecodeOnDemand:
         assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
                 for path in catalog} == catalog
 
+    def test_day2_actions_parse_no_descriptor(self, tmp_path, monkeypatch):
+        # an action's primitives come from the instance's VNF record, not the catalog
+        root = tmp_path / "s"
+        save_peered_store(root)
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        looked_up = []
+        get = Catalog.get
+        monkeypatch.setattr(Catalog, "get", lambda catalog, *key: looked_up.append(key) or get(catalog, *key))
+        status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "2", "get-public-key")
+        assert status == 0, err
+        east = out.split("public-key: ")[1].strip()
+        for argv in (["del-peer", "--param", f"public-key={east}"],
+                     ["add-peer", "--param", f"public-key={east}", "--param", "allowed-ips=10.9.0.0/24",
+                      "--param", "endpoint=192.168.100.2:51820"]):
+            status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", *argv)
+            assert (status, err) == (0, ""), argv
+        assert parsed == [] and looked_up == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["reboot"], "action 'reboot' is not declared by vnfd 'wg-gw' config-primitives"),
+        (["get-public-key", "--param", "x=1"], "unknown param 'x' for action 'get-public-key'"),
+        (["add-peer", "--param", "public-key=k", "--param", "allowed-ips=not-a-cidr"],
+         "bad param 'allowed-ips': expected an IPv4 CIDR, got 'not-a-cidr'"),
+    ])
+    def test_refused_day2_requests_keep_their_error_text(self, tmp_path, monkeypatch, argv, error):
+        root = tmp_path / "s"
+        save_peered_store(root, count=1)
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        assert run_cli("--store", str(root), "ns-action", "ns-1", "1", *argv) == (1, "", f"error: {error}\n")
+        assert parsed == []
+
+    def test_record_from_an_older_store_copies_its_primitives_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        fresh = _instance_documents(root)["ns-2"]["vnf-records"][0]["config-primitives"]
+        state = json.loads((root / "state.json").read_text())
+        for instance in state["instances"]:  # as a store written before records kept them
+            for record in instance["vnf-records"]:
+                del record["config-primitives"]
+        (root / "state.json").write_text(json.dumps(state))
+        parsed = _spy(monkeypatch, "parse_descriptor")
+        for _ in range(2):
+            status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key")
+            assert status == 0 and "public-key: " in out, err
+            assert parsed == [(root / "catalog" / "vnfd-wg-gw.yaml").read_text()]  # the first call's
+            documents = _instance_documents(root)
+            assert documents["ns-2"]["vnf-records"][0]["config-primitives"] == fresh
+            assert "config-primitives" not in documents["ns-1"]["vnf-records"][0]
+
     def test_delete_re_encodes_only_its_vim_entries(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
         save_peered_store(root)
@@ -822,11 +885,12 @@ class TestFailureScope:
             gateway.write_text(text)
             self.assert_works(root, "kpi", "ns-1")
             self.assert_works(root, "ns-show", "ns-1")
-            err = self.assert_fails(root, "ns-action", "ns-1", "1", "get-public-key",
-                                    prefix="catalog file")
-            assert str(gateway) in err
-            self.assert_fails(root, "validate", str(SAMPLES / "nsd-consumer.yaml"),
-                              prefix="catalog file")
+            # a Day-2 action reads its primitives from the instance's VNF record
+            self.assert_works(root, "ns-action", "ns-1", "1", "get-public-key")
+            for argv in (["ns-create", "wg-vpn"], ["validate", str(SAMPLES / "nsd-consumer.yaml")]):
+                err = self.assert_fails(root, *argv, prefix="catalog file")
+                assert str(gateway) in err
+            assert gateway.read_text() == text
 
     def test_corrupt_unrelated_catalog_file(self, tmp_path):
         root = tmp_path / "s"

@@ -249,11 +249,51 @@ class TestNsAction:
             orch.ns_action(ADMIN, instance_id, 1, "get-public-key")
 
     def test_failing_action_marks_instance_failed(self, running_vpn):
+        # the contract changed: a failed Day-2 primitive fails the action, not the
+        # instance, which stays Running; only a Day-1 failure fails the instance
         orch, instance_id = running_vpn
         ghost = generate_keypair(b"\x0e" * 32).public_b64
         result = orch.ns_action(ADMIN, instance_id, 1, "del-peer", {"public-key": ghost})
-        assert result.status == "error"
-        assert orch.instances[instance_id].state == "Failed"
+        assert result.status == "error" and result.message == f"no peer {ghost}"
+        instance = orch.instances[instance_id]
+        assert instance.state == "Running"
+        assert instance.record(1).executed_primitives[-1].result == f"error: no peer {ghost}"
+        assert [e.message for e in instance.events[-3:]] == [
+            "ns-action member=1 name=del-peer", "action-start member=1 name=del-peer",
+            "action-failed member=1 name=del-peer"]
+        assert orch.ns_action(ADMIN, instance_id, 1, "get-public-key").status == "ok"
+
+    def test_failed_primitives_leave_the_table_as_it_was(self):
+        # add-peer's address params typed as plain strings, so a bad prefix reaches the table
+        orch = Orchestrator()
+        gateway = sample_text("vnfd-wireguard-gateway.yaml").replace("type: cidr", "type: string")
+        for text in (gateway, sample_text("vnfd-test-host.yaml"), sample_text("nsd-wireguard-vpn.yaml")):
+            orch.onboard_package(parse_descriptor(text))
+        instance_id = create_vpn_instance(orch)
+        peer_gateways(orch, instance_id)
+        table = orch.instances[instance_id].record(1).table
+
+        def snapshot():
+            return ({key: (list(e.allowed_ips), e.endpoint, e.rx_counter_high_watermark)
+                     for key, e in table.peers.items()},
+                    {length: dict(prefixes) for length, prefixes in table._prefixes._by_length.items()},
+                    dict(table.tx_counters))
+
+        before = snapshot()
+        ghost = generate_keypair(b"\x0e" * 32).public_b64
+        failing = (("del-peer", {"public-key": ghost}),
+                   ("add-peer", {"public-key": ghost, "allowed-ips": "10.9.0.0/24,10.9.1.1/24"}))
+        for action, params in failing:
+            result = orch.ns_action(ADMIN, instance_id, 1, action, params)
+            assert result.status == "error", action
+            assert snapshot() == before, action
+        assert orch.instances[instance_id].state == "Running"
+        result = orch.ns_action(ADMIN, instance_id, 1, "get-public-key")
+        assert result.output == {"public-key": table.public_key_b64}
+        result = orch.ns_action(ADMIN, instance_id, 1, "add-peer",
+                                {"public-key": ghost, "allowed-ips": "10.9.0.0/24"})
+        assert result.status == "ok"
+        assert table.lookup_by_ip("10.9.0.7") == generate_keypair(b"\x0e" * 32).public
 
     def test_stop_and_start_wg_toggle_binding(self, orch):
         # a restartable gateway declares the toggles as Day-2 actions
@@ -394,6 +434,9 @@ class TestSlices:
         joined = {v.id for v in vdus for i in v.interfaces if i.network == shared}
         assert len(joined) == 2  # the vpn west gateway and the consumer host
         assert len(orch.vim.network(shared).allocations) == 2
+        for ns_id in record.ns_instance_ids:  # each record keeps its VNFD's Day-2 primitives
+            for r in orch.instances[ns_id].vnf_records:
+                assert r.config_primitives == orch.catalog.get("vnfd", r.vnfd_id).config_primitives
 
     def test_unresolved_member_nsd(self, orch):
         orch.onboard_package(parse_descriptor(

@@ -40,6 +40,20 @@ class TestRoundTrip:
         assert west.handle is not None and not west.handle.closed  # rebound on load
         assert len(west.table.peers) == 1
 
+    def test_records_keep_their_vnfd_day2_primitives(self, tmp_path):
+        store = build_and_save(tmp_path / "s")
+        records = json.loads((store.root / STATE_FILE).read_text())["instances"][0]["vnf-records"]
+        gateway = {
+            "add-peer": "public-key:string allowed-ips:cidr endpoint:endpoint",
+            "del-peer": "public-key:string",
+            "get-public-key": "",
+            "stop-wg": "",
+        }
+        assert [r["config-primitives"] for r in records] == [gateway, gateway, {}, {}]  # 3, 4: test hosts
+        loaded = [{p.name: " ".join(f"{q.name}:{q.type}" for q in p.params) for p in r.config_primitives}
+                  for r in store.load().instances["ns-1"].vnf_records]
+        assert loaded == [gateway, gateway, {}, {}]
+
     def test_catalog_survives_reload(self, tmp_path):
         store = build_and_save(tmp_path / "s")
         orch = store.load()
