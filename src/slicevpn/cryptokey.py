@@ -250,7 +250,8 @@ class PeerEntry:
     rx_counter_high_watermark: int = 0
 
 
-def _parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
+def parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
+    """The allowed-IPs list as IPv4 networks; a prefix with host bits set is refused."""
     networks = []
     for item in allowed_ips:
         if isinstance(item, ipaddress.IPv4Network):
@@ -258,8 +259,8 @@ def _parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
             continue
         try:
             networks.append(ipaddress.IPv4Network(item, strict=True))
-        except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
-            raise CryptokeyError(f"invalid allowed-ips prefix {item!r}: {exc}") from exc
+        except ValueError as exc:
+            raise CryptokeyError(f"expected an IPv4 CIDR, got {item!r}") from exc
     if not networks:
         raise CryptokeyError("allowed_ips must be non-empty")
     return networks
@@ -273,7 +274,7 @@ class CryptokeyRoutingTable:
         if tunnel_address is not None:
             try:
                 ipaddress.IPv4Address(tunnel_address)
-            except (ipaddress.AddressValueError, ValueError) as exc:
+            except ValueError as exc:
                 raise CryptokeyError(f"invalid tunnel address {tunnel_address!r}") from exc
         self.local_keypair = local_keypair
         self.listen_endpoint = listen_endpoint
@@ -300,7 +301,7 @@ class CryptokeyRoutingTable:
         key = _as_key_bytes(public_key)
         if key == self.public_key:
             raise CryptokeyError("refusing to peer with our own public key")
-        networks = _parse_allowed_ips(allowed_ips)
+        networks = parse_allowed_ips(allowed_ips)
         entry = self.peers.get(key)
         if entry is None:
             entry = PeerEntry(public_key=key, allowed_ips=[])
@@ -331,7 +332,7 @@ class CryptokeyRoutingTable:
         """Public key owning the longest allowed prefix containing ip."""
         try:
             address = ipaddress.IPv4Address(ip)
-        except (ipaddress.AddressValueError, ValueError) as exc:
+        except ValueError as exc:
             raise CryptokeyError(f"not an IPv4 address: {ip!r}") from exc
         owner = self._prefixes.lookup(address)
         if owner is None:

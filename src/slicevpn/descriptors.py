@@ -28,7 +28,7 @@ from slicevpn.errors import SliceVpnError
 
 SCHEMA_VERSION = 1
 
-PARAM_TYPES = ("string", "int", "ipaddr", "cidr", "endpoint")
+PARAM_TYPES = ("string", "int", "ipaddr", "cidr", "endpoint")  # parsed by lifecycle.PARAM_PARSERS
 
 _TOKEN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
@@ -331,7 +331,7 @@ def _get_bool(mapping: dict, path: str, key: str, default: bool) -> bool:
 def _check_cidr(value: str, path: str) -> str:
     try:
         net = ipaddress.IPv4Network(value, strict=True)
-    except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
+    except ValueError as exc:
         raise DescriptorSchemaError(path, f"invalid IPv4 CIDR {value!r}: {exc}") from exc
     return str(net)
 
@@ -533,54 +533,6 @@ def serialize_descriptor(d: Descriptor) -> str:
     descriptor equal to `d`."""
     import yaml
     return yaml.safe_dump(d.doc, sort_keys=False, default_flow_style=False)
-
-
-# --- param value coercion -----------------------------------------------------
-
-
-def coerce_param(type_tag: str, raw: str):
-    """Parse a primitive parameter value per its declared type tag.
-
-    Values arrive as strings (CLI ``--param k=v``). ``cidr`` accepts one or
-    more comma-separated IPv4 prefixes since allowed-ips lists are inherently
-    plural; ``endpoint`` is ``ip:port``.
-    """
-    if type_tag == "string":
-        return raw
-    if type_tag == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise DescriptorError(f"expected an integer, got {raw!r}") from exc
-    if type_tag == "ipaddr":
-        try:
-            return str(ipaddress.IPv4Address(raw))
-        except (ipaddress.AddressValueError, ValueError) as exc:
-            raise DescriptorError(f"expected an IPv4 address, got {raw!r}") from exc
-    if type_tag == "cidr":
-        nets = []
-        for part in raw.split(","):
-            part = part.strip()
-            try:
-                nets.append(str(ipaddress.IPv4Network(part, strict=True)))
-            except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
-                raise DescriptorError(f"expected an IPv4 CIDR, got {part!r}") from exc
-        if not nets:
-            raise DescriptorError("expected at least one CIDR")
-        return tuple(nets)
-    if type_tag == "endpoint":
-        host, sep, port_text = raw.rpartition(":")
-        if not sep:
-            raise DescriptorError(f"expected ip:port, got {raw!r}")
-        try:
-            ip = str(ipaddress.IPv4Address(host))
-            port = int(port_text)
-        except (ipaddress.AddressValueError, ValueError) as exc:
-            raise DescriptorError(f"expected ip:port, got {raw!r}") from exc
-        if not 0 < port < 65536:
-            raise DescriptorError(f"port out of range in {raw!r}")
-        return (ip, port)
-    raise DescriptorError(f"unknown param type {type_tag!r}")
 
 
 # --- catalog ------------------------------------------------------------------

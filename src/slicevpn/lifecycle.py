@@ -6,9 +6,10 @@ each VNF's initial-config-primitives (the deployment phase) — for gateway
 VNFs that is generate-keys, enable-forwarding, and start-wg, which creates
 the cryptokey table and binds its listen endpoint; Day-2 (``ns_action``)
 executes declared config primitives such as add-peer and del-peer against a
-running instance. Every step is stamped on the simulated clock and appended
-to the instance event log (sources NBI, RO, VCA), which is what the KPI
-module measures.
+running instance, after checking each param value with the parser the
+primitive runs on a value of its declared type (``PARAM_PARSERS``). Every
+step is stamped on the simulated clock and appended to the instance event
+log (sources NBI, RO, VCA), which is what the KPI module measures.
 
 The control plane is serialized: one orchestrator processes one request at a
 time. RBAC: admins may do anything; tenants may only run ns_action/ns_show
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from slicevpn.cryptokey import CryptokeyRoutingTable, generate_keypair, key_from_base64
+from slicevpn.cryptokey import CryptokeyRoutingTable, generate_keypair, key_from_base64, parse_allowed_ips
 from slicevpn.descriptors import (
     Catalog,
     Descriptor,
@@ -36,7 +37,6 @@ from slicevpn.descriptors import (
     PrimitiveSpec,
     VduSpec,
     VnfDescriptor,
-    coerce_param,
     reference_issues,
     references,
 )
@@ -57,6 +57,32 @@ TENANT_OPERATIONS = frozenset({"ns_action", "ns_show"})
 
 class LifecycleError(SliceVpnError):
     """Orchestration-level failure (bad request, unresolved refs, bad state)."""
+
+
+def _parse_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise LifecycleError(f"expected an integer, got {raw!r}") from exc
+
+
+def _parse_ipaddr(raw: str) -> ipaddress.IPv4Address:
+    try:
+        return ipaddress.IPv4Address(raw)
+    except ValueError as exc:
+        raise LifecycleError(f"expected an IPv4 address, got {raw!r}") from exc
+
+
+# Declared param type -> the parser a primitive runs on such a value. A Day-2
+# request is checked with the same entry before execution, so the check and
+# the action cannot disagree; a string param is left for its primitive to parse.
+PARAM_PARSERS = {
+    "string": str,
+    "int": _parse_int,
+    "ipaddr": _parse_ipaddr,
+    "cidr": lambda raw: parse_allowed_ips([prefix.strip() for prefix in raw.split(",")]),
+    "endpoint": Endpoint.parse,
+}
 
 
 @dataclass(frozen=True)
@@ -343,16 +369,11 @@ class Orchestrator:
                                config_primitives=vnfd.config_primitives)
             instance.vnf_records.append(record)
             for vdu in vnfd.vdus:
-                resolved = []
-                for iface in vdu.interfaces:
-                    network = attach_map.get((member.member_index, iface.name))
-                    if network is None:
-                        raise LifecycleError(
-                            f"interface {iface.name!r} of member {member.member_index} "
-                            f"is not attached to any virtual link")
-                    resolved.append(InterfaceSpec(iface.name, network))
+                # _instantiable refused an NSD that leaves an interface unattached
+                resolved = tuple(InterfaceSpec(iface.name, attach_map[(member.member_index, iface.name)])
+                                 for iface in vdu.interfaces)
                 specs.append(VduSpec(
-                    name=vdu.name, image=vdu.image, interfaces=tuple(resolved),
+                    name=vdu.name, image=vdu.image, interfaces=resolved,
                     cloud_init_packages=vdu.cloud_init_packages,
                     requires_forwarding=vdu.requires_forwarding))
                 ids.append(f"{instance.id}.m{member.member_index}.{vdu.name}")
@@ -507,13 +528,13 @@ class Orchestrator:
                             duration=finished - started)
 
     def _typecheck_params(self, spec, params: dict[str, str]):
-        """Refuse undeclared params and values that do not fit their declared type."""
+        """Refuse undeclared params and values their declared type's parser refuses."""
         declared = {p.name: p.type for p in spec.params}
         for key, raw in params.items():
             if key not in declared:
                 raise LifecycleError(f"unknown param {key!r} for action {spec.name!r}")
             try:
-                coerce_param(declared[key], raw)
+                PARAM_PARSERS[declared[key]](raw)
             except SliceVpnError as exc:
                 raise LifecycleError(f"bad param {key!r}: {exc}") from exc
 
@@ -527,8 +548,8 @@ class Orchestrator:
             endpoint = params.get("endpoint")
             table.add_peer(
                 key_from_base64(params["public-key"]),
-                [prefix.strip() for prefix in params["allowed-ips"].split(",")],
-                Endpoint.parse(endpoint) if endpoint is not None else None,
+                PARAM_PARSERS["cidr"](params["allowed-ips"]),
+                PARAM_PARSERS["endpoint"](endpoint) if endpoint is not None else None,
             )
             return {}
         if action == "del-peer":

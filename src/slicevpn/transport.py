@@ -39,7 +39,7 @@ class Endpoint:
     def __post_init__(self):
         try:
             ipaddress.IPv4Address(self.ip)
-        except (ipaddress.AddressValueError, ValueError) as exc:
+        except ValueError as exc:
             raise TransportError(f"not an IPv4 address: {self.ip!r}") from exc
         if not 0 < self.port < 65536:
             raise TransportError(f"port out of range: {self.port}")
@@ -49,12 +49,11 @@ class Endpoint:
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":
-        host, sep, port = text.rpartition(":")
-        if not sep:
-            raise TransportError(f"expected ip:port, got {text!r}")
+        """``ip:port``; every refusal reads ``expected ip:port, got '<text>'``."""
+        host, _, port = text.rpartition(":")
         try:
             return cls(host, int(port))
-        except ValueError as exc:
+        except (ValueError, TransportError) as exc:
             raise TransportError(f"expected ip:port, got {text!r}") from exc
 
 

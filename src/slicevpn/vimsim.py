@@ -210,7 +210,7 @@ class Vim:
             raise VimError(f"duplicate network name {name!r}")
         try:
             net = ipaddress.IPv4Network(cidr, strict=True)
-        except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
+        except ValueError as exc:
             raise VimError(f"invalid cidr {cidr!r}: {exc}") from exc
         if net.prefixlen > 30:
             raise VimError(f"cidr {cidr!r} leaves no allocatable host range (prefix must be <= /30)")

@@ -36,6 +36,12 @@ def sample_text(name: str) -> str:
     return (SAMPLES / name).read_text(encoding="utf-8")
 
 
+# the sample gateway with add-peer's address params declared as plain strings,
+# which the descriptor schema allows: a bad value reaches the primitive itself
+STRING_PARAMS_GATEWAY = sample_text("vnfd-wireguard-gateway.yaml") \
+    .replace("type: cidr", "type: string").replace("type: endpoint", "type: string")
+
+
 def make_orchestrator(backend=None, latency_s=0) -> Orchestrator:
     vim = Vim(SimClock())
     if backend is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import save_peered_store
+from conftest import STRING_PARAMS_GATEWAY, save_peered_store
 from slicevpn import store as store_module
 from slicevpn.cli import main
 from slicevpn.cryptokey import generate_keypair
@@ -436,11 +436,6 @@ class TestProcessHygiene:
             gc.enable()
 
 
-# add-peer's address params declared as plain strings, which the descriptor schema allows
-STRING_PARAMS_GATEWAY = (SAMPLES / "vnfd-wireguard-gateway.yaml").read_text(encoding="utf-8") \
-    .replace("type: cidr", "type: string").replace("type: endpoint", "type: string")
-
-
 class TestDay2Actions:
     def _string_params_store(self, tmp_path: Path) -> str:
         gateway = tmp_path / "gateway.yaml"
@@ -707,8 +702,10 @@ class TestDecodeOnDemand:
         root = tmp_path / "s"
         save_peered_store(root, count=1)
         parsed = _spy(monkeypatch, "parse_descriptor")
+        before = (root / "state.json").read_bytes()
         assert run_cli("--store", str(root), "ns-action", "ns-1", "1", *argv) == (1, "", f"error: {error}\n")
         assert parsed == []
+        assert (root / "state.json").read_bytes() == before  # refused before anything runs or is saved
 
     def test_record_from_an_older_store_copies_its_primitives_once(self, tmp_path, monkeypatch):
         root = tmp_path / "s"

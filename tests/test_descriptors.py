@@ -10,7 +10,6 @@ from slicevpn.descriptors import (
     DescriptorError,
     DescriptorSchemaError,
     DescriptorSyntaxError,
-    coerce_param,
     load_strict_yaml,
     parse_descriptor,
     parse_nsd,
@@ -447,23 +446,6 @@ class TestCatalog:
             "member 1 (wg-west) declares no interface 'data'",
             "member 1 (wg-west) declares no interface 'tunnel'",
             "interface 'mgmt' of member 1 (wg-west) is not attached to any virtual link"]
-
-
-class TestCoerceParam:
-    def test_values(self):
-        assert coerce_param("string", "abc") == "abc"
-        assert coerce_param("int", "42") == 42
-        assert coerce_param("ipaddr", "10.0.0.1") == "10.0.0.1"
-        assert coerce_param("cidr", "10.0.0.0/24, 10.1.0.0/16") == ("10.0.0.0/24", "10.1.0.0/16")
-        assert coerce_param("endpoint", "192.168.1.1:51820") == ("192.168.1.1", 51820)
-
-    @pytest.mark.parametrize("tag,raw", [
-        ("int", "x"), ("ipaddr", "999.0.0.1"), ("cidr", "10.0.0.1/24"),
-        ("endpoint", "10.0.0.1"), ("endpoint", "10.0.0.1:0"), ("cidr", ""),
-    ])
-    def test_bad_values(self, tag, raw):
-        with pytest.raises(DescriptorError):
-            coerce_param(tag, raw)
 
 
 # --- property: round-trip over generated NSD documents -------------------------

@@ -1,9 +1,12 @@
+import ipaddress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     EAST_PEER_PARAMS,
+    STRING_PARAMS_GATEWAY,
     WEST_PEER_PARAMS,
     WEST_SEED,
     create_vpn_instance,
@@ -12,13 +15,39 @@ from conftest import (
     sample_text,
 )
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, UnknownPeer, AuthFailure, generate_keypair
-from slicevpn.descriptors import parse_descriptor, parse_vnfd
+from slicevpn.descriptors import PARAM_TYPES, parse_descriptor, parse_vnfd
 from slicevpn.errors import AuthorizationError
-from slicevpn.lifecycle import ADMIN, Actor, LifecycleError, Orchestrator, export_event_log
+from slicevpn.lifecycle import ADMIN, PARAM_PARSERS, Actor, LifecycleError, Orchestrator, export_event_log
 from slicevpn.transport import Endpoint
 from slicevpn.vimsim import VimError
 
 TENANT = Actor("tenant1", "tenant")
+
+# the sample gateway plus a Day-2 primitive that declares one param of each type
+TYPED_GATEWAY = sample_text("vnfd-wireguard-gateway.yaml").replace("  - name: get-public-key\n", """\
+  - name: set-options
+    description: a timed no-op taking one param of each declared type
+    params:
+      - name: text
+        type: string
+      - name: count
+        type: int
+      - name: address
+        type: ipaddr
+      - name: prefixes
+        type: cidr
+      - name: peer
+        type: endpoint
+  - name: get-public-key
+""")
+
+
+def gateway_instance(gateway_text: str) -> tuple[Orchestrator, str]:
+    """A Running wg-vpn instance whose gateways are `gateway_text`."""
+    orch = Orchestrator()
+    for text in (gateway_text, sample_text("vnfd-test-host.yaml"), sample_text("nsd-wireguard-vpn.yaml")):
+        orch.onboard_package(parse_descriptor(text))
+    return orch, create_vpn_instance(orch)
 
 
 class TestOnboarding:
@@ -99,6 +128,20 @@ class TestNsCreate:
     def test_tenant_denied(self, orch):
         with pytest.raises(AuthorizationError, match="authorization denied"):
             orch.ns_create(TENANT, "wg-vpn")
+
+    def test_unattached_gateway_interface_refused_before_deploy(self, orch):
+        nsd = sample_text("nsd-wireguard-vpn.yaml").replace("id: wg-vpn\n", "id: wg-open\n").replace(
+            "      - member-index: 2\n        interface: data\n      - member-index: 4\n",
+            "      - member-index: 4\n")
+        orch.onboard_package(parse_descriptor(nsd))
+        with pytest.raises(LifecycleError) as info:
+            orch.ns_create(ADMIN, "wg-open")
+        assert str(info.value).startswith("catalog validation failed for 'wg-open': ")
+        assert "interface 'data' of member 2 (wg-gw) is not attached to any virtual link" in str(info.value)
+        assert orch.instances == {}
+        for link in orch.catalog.get("nsd", "wg-open").virtual_links:
+            with pytest.raises(VimError, match="unknown network"):
+                orch.vim.network(f"ns-1.{link.name}")
 
     def test_unknown_nsd(self, orch):
         with pytest.raises(LifecycleError, match="no nsd"):
@@ -264,12 +307,7 @@ class TestNsAction:
         assert orch.ns_action(ADMIN, instance_id, 1, "get-public-key").status == "ok"
 
     def test_failed_primitives_leave_the_table_as_it_was(self):
-        # add-peer's address params typed as plain strings, so a bad prefix reaches the table
-        orch = Orchestrator()
-        gateway = sample_text("vnfd-wireguard-gateway.yaml").replace("type: cidr", "type: string")
-        for text in (gateway, sample_text("vnfd-test-host.yaml"), sample_text("nsd-wireguard-vpn.yaml")):
-            orch.onboard_package(parse_descriptor(text))
-        instance_id = create_vpn_instance(orch)
+        orch, instance_id = gateway_instance(STRING_PARAMS_GATEWAY)  # a bad prefix reaches the table
         peer_gateways(orch, instance_id)
         table = orch.instances[instance_id].record(1).table
 
@@ -317,6 +355,74 @@ class TestNsAction:
         assert record.handle is not None and not record.handle.closed
         orch.ns_action(ADMIN, instance_id, 1, "stop-wg")
         assert record.handle is None
+
+
+class TestDeclaredParamTypes:
+    """A declared param type is checked with the parser its primitive runs."""
+
+    def test_every_schema_type_has_a_parser(self):
+        assert set(PARAM_TYPES) == set(PARAM_PARSERS)
+
+    def test_values_of_each_type_run(self):
+        orch, instance_id = gateway_instance(TYPED_GATEWAY)
+        result = orch.ns_action(ADMIN, instance_id, 1, "set-options", {
+            "text": "abc", "count": "42", "address": "10.0.0.1",
+            "prefixes": "10.0.0.0/24, 10.1.0.0/16", "peer": "192.168.1.1:51820"})
+        assert result.status == "ok"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("count", "x", "expected an integer, got 'x'"),
+        ("address", "999.0.0.1", "expected an IPv4 address, got '999.0.0.1'"),
+        ("prefixes", "10.0.0.1/24", "expected an IPv4 CIDR, got '10.0.0.1/24'"),
+        ("prefixes", "", "expected an IPv4 CIDR, got ''"),
+        ("peer", "10.0.0.1", "expected ip:port, got '10.0.0.1'"),
+        ("peer", "10.0.0.1:0", "expected ip:port, got '10.0.0.1:0'"),
+    ])
+    def test_bad_values_refused_before_execution(self, key, value, message):
+        orch, instance_id = gateway_instance(TYPED_GATEWAY)
+        instance = orch.instances[instance_id]
+        events, executed = list(instance.events), list(instance.record(1).executed_primitives)
+        with pytest.raises(LifecycleError) as info:
+            orch.ns_action(ADMIN, instance_id, 1, "set-options", {"text": "abc", key: value})
+        assert str(info.value) == f"bad param {key!r}: {message}"
+        assert instance.events == events and instance.record(1).executed_primitives == executed
+
+
+_host = st.ip_addresses(v=4).map(str)
+_prefix = st.one_of(
+    st.builds(lambda a, n: str(ipaddress.IPv4Network((a, n), strict=False)), _host, st.integers(0, 32)),
+    st.builds("{}/{}".format, _host, st.integers(0, 33)),  # host bits mostly set
+    st.text(max_size=8))
+_allowed_ips = st.builds(lambda sep, parts: sep.join(parts),
+                         st.sampled_from([",", ", "]), st.lists(_prefix, min_size=1, max_size=3))
+_endpoint = st.one_of(st.none(), st.builds("{}:{}".format, _host, st.integers(-1, 65536)),
+                      st.text(max_size=12))
+
+
+def test_typed_add_peer_refuses_exactly_what_a_string_typed_add_peer_fails_on():
+    typed, typed_id = gateway_instance(sample_text("vnfd-wireguard-gateway.yaml"))
+    untyped, untyped_id = gateway_instance(STRING_PARAMS_GATEWAY)
+    east = typed.instances[typed_id].record(2).table.public_key_b64
+    typed_events = typed.instances[typed_id].events
+
+    @settings(max_examples=200, deadline=None)
+    @given(allowed_ips=_allowed_ips, endpoint=_endpoint)
+    def check(allowed_ips, endpoint):
+        params = {"public-key": east, "allowed-ips": allowed_ips}
+        if endpoint is not None:
+            params["endpoint"] = endpoint
+        executed = untyped.ns_action(ADMIN, untyped_id, 1, "add-peer", params)
+        logged = len(typed_events)
+        try:
+            typed.ns_action(ADMIN, typed_id, 1, "add-peer", params)
+        except LifecycleError as exc:
+            assert executed.status == "error"
+            assert str(exc) in {f"bad param {key!r}: {executed.message}" for key in ("allowed-ips", "endpoint")}
+            assert len(typed_events) == logged
+        else:
+            assert executed.status == "ok", executed.message
+
+    check()
 
 
 class TestRbac:

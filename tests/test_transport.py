@@ -244,8 +244,10 @@ class TestUdp:
 
     def test_endpoint_parse(self):
         assert Endpoint.parse("10.0.0.1:51820") == Endpoint("10.0.0.1", 51820)
-        with pytest.raises(TransportError):
-            Endpoint.parse("10.0.0.1")
+        for text in ("10.0.0.1", "51820", "999.0.0.1:51820", "10.0.0.1:0", "10.0.0.1:70000", "10.0.0.1:x"):
+            with pytest.raises(TransportError) as info:
+                Endpoint.parse(text)
+            assert str(info.value) == f"expected ip:port, got {text!r}"
 
 
 def test_importing_transport_loads_neither_the_vim_nor_yaml_nor_cryptography():
