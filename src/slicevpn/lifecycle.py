@@ -41,7 +41,7 @@ from slicevpn.descriptors import (
     references,
 )
 from slicevpn.errors import AuthorizationError, SliceVpnError
-from slicevpn.transport import Endpoint, Handle, InMemoryBackend
+from slicevpn.transport import Endpoint, Handle, InMemoryBackend, parse_decimal
 from slicevpn.vimsim import TimingProfile, Vim, default_profile, format_seconds
 
 DEFAULT_LISTEN_PORT = 51820
@@ -61,7 +61,7 @@ class LifecycleError(SliceVpnError):
 
 def _parse_int(raw: str) -> int:
     try:
-        return int(raw)
+        return parse_decimal(raw)
     except ValueError as exc:
         raise LifecycleError(f"expected an integer, got {raw!r}") from exc
 
@@ -329,7 +329,7 @@ class Orchestrator:
             kind = m.group("key")
             try:
                 if kind == "listen-port":
-                    port = int(value)
+                    port = parse_decimal(value)
                     if not 0 < port < 65536:
                         raise ValueError("port out of range")
                 elif kind == "tunnel-address":
@@ -451,7 +451,7 @@ class Orchestrator:
                 raise LifecycleError(
                     f"member {record.member_index} has no interface {listen_iface_name!r} to listen on")
             port_text = self._member_param(instance, record.member_index, "listen-port")
-            port = int(port_text) if port_text else DEFAULT_LISTEN_PORT
+            port = parse_decimal(port_text) if port_text else DEFAULT_LISTEN_PORT
             tunnel_address = self._member_param(instance, record.member_index, "tunnel-address")
             if tunnel_address is None:
                 if record.member_index > 254:

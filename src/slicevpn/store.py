@@ -10,19 +10,22 @@ echoed into reports, logs, or command output.
 ``state.json`` is compact JSON with one document per line: each instance,
 VIM network and VIM VDU on a line of its own, its key (``"id"`` or
 ``"name"``) first, between skeleton lines that hold the global fields.
-Loading parses only the skeleton; each document stays its line's bytes, and
-each catalog file stays unparsed, until a command first looks it up
-(``LazyDocuments``), so a command's parse and decode cost follows what it
-touches, not the store's size. ``state.json`` in any other JSON layout is
-parsed whole, and the next save rewrites it in the line layout. Saving
-writes every untouched line back as its bytes and writes a catalog file
-only for a descriptor onboarded since loading. Each file is written under a
-temporary name and renamed over the old one, catalog files before
-``state.json``, so a save cut off midway leaves every file whole, old or
-new. A VNF record keeps the Day-2 primitives its VNFD declares, so
-``ns-action`` reads no catalog file. A corrupt document line or catalog file
-fails only the commands that touch it, and ``--backend udp`` binds only the
-touched instances' gateway sockets.
+Loading parses only the skeleton, found from the file's ends; a document
+stays in the loaded bytes, and a catalog file unparsed, until a command
+looks it up (``LazyDocuments``), and a lookup finds its line by key with
+one backward search (``_StateFile.find``). Only a lookup that misses, or
+adding, deleting or listing documents (``ns-create``, ``ns-delete``),
+indexes the whole file. A file out of the line layout is parsed whole, and
+the next save rewrites it in the layout. Saving splices the re-encoded
+touched lines into the loaded bytes (after indexing, it writes each line)
+and writes a catalog file only for a descriptor onboarded since loading.
+Each file is written under a temporary name and renamed over the old one,
+catalog files before ``state.json``, so a save cut off midway leaves every
+file whole, old or new. A VNF record keeps the Day-2 primitives its VNFD
+declares, so ``ns-action`` reads no catalog file. A corrupt document line
+or catalog file fails only the commands that touch it (a line whose key
+cannot be read, only those that index the file), and ``--backend udp``
+binds only the touched instances' gateway sockets.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -40,6 +43,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMappin
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, generate_keypair
 from slicevpn.descriptors import (Descriptor, DescriptorError, PrimitiveParam, PrimitiveSpec,
@@ -302,27 +306,111 @@ def _lists(state: dict) -> tuple:
     return state["instances"], state["vim"]["networks"], state["vim"]["vdus"]
 
 
-def _read_state(data: bytes) -> tuple[dict, list[dict[str, bytes]]]:
-    """The state's global fields, and its instance, network and VDU
-    documents as lines keyed as ``_KEYS`` says. A file not exactly in the
-    line layout is parsed whole, and its documents are encoded as lines."""
+def _document(line: bytes) -> bytes:
+    """A document line without the comma that separates it from the next."""
+    return line.rstrip(b" \t\r").removesuffix(b",")
+
+
+def _parse_whole(data: bytes) -> tuple[dict, list[dict[str, bytes]]]:
+    """The state, and its documents encoded as lines by key."""
+    state = json.loads(data)
+    return state, [{_key(line, prefix): line for line in (_line(doc, key) for doc in docs)}
+                   for docs, key, prefix in zip(_lists(state), _KEYS, _PREFIXES)]
+
+
+def _index(data: bytes) -> list[dict[str, bytes]]:
+    """Every document line of a file ``_read_state`` found in the line layout,
+    by key; the whole file parsed, if it holds a line out of the layout."""
     skeleton, groups = [], [[], [], []]
     for line in data.split(b"\n"):
         group = len(skeleton) - 1  # the group a document line here would belong to
         if 0 <= group < len(groups) and line.startswith(_PREFIXES[group]):
-            groups[group].append(line.rstrip(b" \t\r").removesuffix(b","))
+            groups[group].append(_document(line))
         else:
             skeleton.append(line)
-    try:  # a marker in place of each group: the state must hold each in its list
-        state = json.loads(b"%b0%b1%b2%b" % tuple(skeleton))  # TypeError unless four lines
-        exact = list(_lists(state)) == [[0], [1], [2]]
-    except (ValueError, KeyError, TypeError):
-        exact = False
-    if not exact:
-        state = json.loads(data)
-        groups = [[_line(doc, key) for doc in docs] for docs, key in zip(_lists(state), _KEYS)]
-    return state, [{_key(line, prefix): line for line in lines}
-                   for lines, prefix in zip(groups, _PREFIXES)]
+    if len(skeleton) != 4:  # not just the four lines ``_read_state`` checked
+        return _parse_whole(data)[1]
+    return [{_key(line, prefix): line for line in lines} for lines, prefix in zip(groups, _PREFIXES)]
+
+
+class _StateFile:
+    """A loaded ``state.json``: its bytes, each group's byte range, and
+    where each line found by key lies. The whole file is indexed only when
+    a lookup by key misses or a group is listed; a file parsed whole comes
+    indexed."""
+
+    def __init__(self, data: bytes, bounds: list[tuple[int, int]], path: Path, index=None):
+        self.data = data
+        self.bounds = bounds  # per group: its first line's \n to its closing line's \n
+        self.path = path
+        self.spans = ({}, {}, {})  # per group: key -> (start, end) of each line found by key
+        self.index = index  # per group: key -> line, once indexed
+
+    def find(self, group: int, key) -> bytes | None:
+        """The last line of `group` to start with its key prefix and `key`, or the index's."""
+        if self.index is None:
+            lo, hi = self.bounds[group]
+            needle = b"\n" + _PREFIXES[group][:-1] + _encode(key)
+            at = self.data.rfind(needle, lo, hi)
+            if at >= 0 and self.data[at + len(needle)] in b",}":
+                line = _document(self.data[at + 1:self.data.find(b"\n", at + 1)])
+                self.spans[group][key] = (at + 1, at + 1 + len(line))
+                return line
+        return self.lines(group).get(key)
+
+    def lines(self, group: int) -> dict[str, bytes]:
+        if self.index is None:
+            try:
+                self.index = _index(self.data)
+            except _DECODE_ERRORS as exc:
+                raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
+            self.data = b""  # the index holds each line
+        return self.index[group]
+
+    def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple[str, bytes]]]) -> Iterator:
+        """The loaded bytes with `skeleton` in place of the skeleton lines,
+        and each (key, line) of `groups` in place of the line found by key."""
+        view = memoryview(self.data)
+        yield skeleton[0]
+        for (at, hi), spans, lines, closing in zip(self.bounds, self.spans, groups, skeleton[1:]):
+            for start, end, line in sorted(spans[key] + (line,) for key, line in lines):
+                yield from (view[at:start], line)
+                at = end
+            yield from (view[at:hi], b"\n" + closing)
+
+
+class _Group(NamedTuple):
+    """A group of a ``_StateFile``'s lines, as ``LazyDocuments`` reads them."""
+    file: _StateFile
+    group: int
+
+    def get(self, key) -> bytes | None:
+        return self.file.find(self.group, key)
+
+    def items(self):
+        return self.file.lines(self.group).items()
+
+
+def _read_state(data: bytes, path: Path) -> tuple[dict, _StateFile]:
+    """The state's global fields, and its documents. Only the skeleton is
+    parsed: the first line and the last three that start with ``]``. A file
+    not in the line layout is parsed whole, and so is one holding ``\\r``,
+    whose loaded bytes a save must not splice back."""
+    closing = [len(data)]  # where each closing line starts: at the \n before it
+    for _ in range(3):
+        closing.insert(0, data.rfind(b"\n]", 0, max(closing[0], 0)))
+    if closing[0] >= 0 and b"\r" not in data:
+        opening = [data.find(b"\n"), *(data.find(b"\n", at + 1) for at in closing[:2])]  # where each ends
+        skeleton = (data[:opening[0]], *(data[at + 1:end] for at, end in zip(closing, opening[1:])),
+                    data[closing[2] + 1:])
+        try:  # a marker in place of each group: the state must hold each in its list
+            state = json.loads(b"%b0%b1%b2%b" % skeleton)
+            if list(_lists(state)) == [[0], [1], [2]]:
+                return state, _StateFile(data, list(zip(opening, closing)), path)
+        except (ValueError, KeyError, TypeError):
+            pass
+    state, index = _parse_whole(data)
+    return state, _StateFile(b"", [], path, index)
 
 
 def _skeleton(orch: Orchestrator) -> tuple[bytes, ...]:
@@ -365,7 +453,7 @@ def _write_atomic(path: Path, pieces: Iterable[bytes]):
     killed mid-write, sees the old file or the new one, never a torn one. The
     temporary name ends in ``.tmp``, so no ``*.yaml`` glob picks it up."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as f:
+    with tmp.open("wb", buffering=1 << 16) as f:  # ~20, not ~170, write calls per MB of lines
         f.writelines(pieces)
     os.replace(tmp, path)
 
@@ -382,6 +470,10 @@ class LazyDocuments(MutableMapping):
     networks and VDUs, and the catalog in these, so a command decodes only
     what it touches.
 
+    ``loaded`` finds one loaded entry (``get``) or lists them (``items``);
+    the mapping lists them only once a key is missing, added or deleted, or
+    the mapping is iterated or sized.
+
     A malformed document raises ``StoreError`` naming ``describe(key)``,
     never a ``KeyError``, which ``Mapping.get`` would report as a missing
     entry. An error that is not the document's fault, such as an ``OSError``
@@ -390,50 +482,74 @@ class LazyDocuments(MutableMapping):
     orchestrator frees the loaded documents without the cycle collector.
     """
 
-    def __init__(self, docs: dict, decode: Callable, describe: Callable[[object], str]):
-        # key -> the document as loaded, or the object once decoded or set
-        self._entries = docs
-        self._undecoded = set(docs)
+    def __init__(self, loaded, decode: Callable, describe: Callable[[object], str]):
+        self.loaded = loaded
+        # key -> the object once decoded or set; once listed, also each other loaded entry
+        self._entries = {}
+        self._undecoded = set()
+        self._listed = False
         self._decode = decode
         self._describe = describe
 
+    def _list(self) -> dict:
+        if not self._listed:
+            entries = dict(self.loaded.items())
+            self._undecoded = entries.keys() - self._entries.keys()
+            entries.update(self._entries)
+            self._entries, self._listed = entries, True
+        return self._entries
+
+    def _find(self, key):
+        """The loaded entry under `key`, not decoded yet, or None."""
+        if not self._listed:
+            entry = self.loaded.get(key)
+            if entry is not None:
+                return entry
+            self._list()
+        return self._entries[key] if key in self._undecoded else None
+
     def __getitem__(self, key):
-        entry = self._entries[key]
-        if key in self._undecoded:
-            try:
-                entry = self._decode(entry)
-            except _DECODE_ERRORS as exc:
-                raise StoreError(f"corrupt {self._describe(key)}: "
-                                 f"{type(exc).__name__}: {exc}") from exc
-            self._entries[key] = entry
-            self._undecoded.discard(key)
+        if key in self._entries and key not in self._undecoded:
+            return self._entries[key]
+        entry = self._find(key)
+        if entry is None:
+            raise KeyError(key)
+        try:
+            entry = self._decode(entry)
+        except _DECODE_ERRORS as exc:
+            raise StoreError(f"corrupt {self._describe(key)}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        self._entries[key] = entry
+        self._undecoded.discard(key)
         return entry
 
     def __setitem__(self, key, value):
+        if key not in self._entries:  # an added entry goes after every loaded one
+            self._list()
         self._entries[key] = value
         self._undecoded.discard(key)
 
     def __delitem__(self, key):
-        del self._entries[key]
+        del self._list()[key]
         self._undecoded.discard(key)
 
     def __contains__(self, key) -> bool:
-        return key in self._entries
+        return key in self._entries or self._find(key) is not None
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._list())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._list())
 
     def documents(self, encode: Callable) -> list:
         """Every entry, in order: an undecoded one as loaded, the others
         through ``encode``."""
         return [entry if key in self._undecoded else encode(entry)
-                for key, entry in self._entries.items()]
+                for key, entry in self._list().items()]
 
     def decoded(self) -> list[tuple]:
-        """The (key, object) pairs decoded or set since loading, in order."""
+        """The (key, object) pairs decoded or set since loading."""
         return [(key, entry) for key, entry in self._entries.items()
                 if key not in self._undecoded]
 
@@ -450,14 +566,14 @@ def _documents(entries: Mapping, encode: Callable) -> list:
     return [encode(value) for value in entries.values()]
 
 
-def _lazy(lines: dict[str, bytes], decode: Callable, where: str) -> LazyDocuments:
+def _lazy(lines: _Group, decode: Callable, where: str) -> LazyDocuments:
     """`lines`, each parsed and decoded on first read."""
     return LazyDocuments(lines, lambda line: decode(json.loads(line)), lambda k: f"{where} {k}")
 
 
-def _orchestrator_from_doc(state: dict, lines: list, backend, state_path: Path) -> Orchestrator:
-    where = f"state file {state_path}:"
-    instances, networks, vdus = lines
+def _orchestrator_from_doc(state: dict, file: _StateFile, backend) -> Orchestrator:
+    where = f"state file {file.path}:"
+    instances, networks, vdus = (_Group(file, group) for group in range(3))
     vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
     vim._networks = _lazy(networks, _network_from_doc, f"{where} network")
     vim._vdus = _lazy(vdus, _vdu_from_doc, f"{where} vdu")
@@ -509,11 +625,17 @@ class Store:
             if self._catalog_files.get(name) != descriptor:
                 _write_atomic(catalog_dir / name, [serialize_descriptor(descriptor).encode("utf-8")])
                 self._catalog_files[name] = descriptor
-        groups = [_documents(orch.instances, lambda i: _line(_instance_to_doc(i), "id")),
-                  _documents(orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
-                  _documents(orch.vim._vdus, lambda v: _line(_vdu_to_doc(v), "id"))]
+        groups = [(orch.instances, lambda i: _line(_instance_to_doc(i), "id")),
+                  (orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
+                  (orch.vim._vdus, lambda v: _line(_vdu_to_doc(v), "id"))]
+        lines = getattr(orch.instances, "loaded", None)
+        if isinstance(lines, _Group) and lines.file.index is None:  # each touched line was found by key
+            pieces = lines.file.splice(_skeleton(orch), [[(key, encode(value)) for key, value in loaded(entries)]
+                                                         for entries, encode in groups])
+        else:
+            pieces = _layout(_skeleton(orch), [_documents(entries, encode) for entries, encode in groups])
         # after the catalog files, so that the state never names a descriptor not on disk
-        _write_atomic(self.root / STATE_FILE, _layout(_skeleton(orch), groups))
+        _write_atomic(self.root / STATE_FILE, pieces)
 
     def load(self, backend=None) -> Orchestrator:
         """Rebuild the orchestrator. Instances, VIM entries and catalog
@@ -525,8 +647,8 @@ class Store:
             orch = Orchestrator(backend=backend)
         else:
             try:
-                state, lines = _read_state(state_path.read_bytes())
-                orch = _orchestrator_from_doc(state, lines, backend, state_path)
+                state, file = _read_state(state_path.read_bytes(), state_path)
+                orch = _orchestrator_from_doc(state, file, backend)
             except (OSError, *_DECODE_ERRORS) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)

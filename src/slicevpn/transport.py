@@ -31,6 +31,16 @@ class TransportError(SliceVpnError):
     """Bind conflicts, oversize sends, closed handles."""
 
 
+def parse_decimal(text: str) -> int:
+    """`text` as an integer: ASCII digits, with an optional leading ``-``.
+    ``int()`` would also take ``_`` separators, surrounding whitespace, a
+    ``+`` sign and non-ASCII digits; a refusal reads as ``int()``'s."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True, order=True)
 class Endpoint:
     ip: str
@@ -52,7 +62,7 @@ class Endpoint:
         """``ip:port``; every refusal reads ``expected ip:port, got '<text>'``."""
         host, _, port = text.rpartition(":")
         try:
-            return cls(host, int(port))
+            return cls(host, parse_decimal(port))
         except (ValueError, TransportError) as exc:
             raise TransportError(f"expected ip:port, got {text!r}") from exc
 

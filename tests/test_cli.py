@@ -11,10 +11,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import STRING_PARAMS_GATEWAY, save_peered_store
 from slicevpn import store as store_module
@@ -610,9 +613,15 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+def _public_key(result: tuple[int, str, str]) -> str:
+    status, out, err = result
+    assert status == 0, err
+    return out.split("public-key: ")[1].strip()
+
+
 class TestDecodeOnDemand:
-    """A command against a 3-instance store decodes only the instances,
-    VIM entries and catalog files it touches."""
+    """A command decodes only the instances, VIM entries and catalog files
+    it touches, and reads only the state lines it looks up by key."""
 
     def test_kpi_decodes_only_its_instance(self, tmp_path, monkeypatch):
         save_peered_store(tmp_path / "s")
@@ -773,6 +782,54 @@ class TestDecodeOnDemand:
         assert after["ns-2"] != before["ns-2"]
         assert after["ns-1"] == before["ns-1"] and after["ns-3"] == before["ns-3"]
 
+    def test_lookups_by_key_never_index_the_file(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root, count=20)
+        path = root / "state.json"
+        indexed = _spy(monkeypatch, "_index")
+        for argv in (["kpi", "ns-7"], ["ns-show", "ns-7"]):
+            status, _, err = run_cli("--store", str(root), *argv)
+            assert status == 0, err
+        east = _public_key(run_cli("--store", str(root), "ns-action", "ns-7", "2", "get-public-key"))
+        for argv in (["get-public-key"], ["del-peer", "--param", f"public-key={east}"],
+                     ["add-peer", "--param", f"public-key={east}", "--param", "allowed-ips=10.9.0.0/24"]):
+            before = path.read_bytes().split(b"\n")
+            status, _, err = run_cli("--store", str(root), "ns-action", "ns-7", "1", *argv)
+            assert status == 0, err
+            after = path.read_bytes().split(b"\n")
+            assert len(after) == len(before)
+            changed = [old[:13] for old, new in zip(before, after) if old != new]
+            # ns-7's line, and the skeleton line that holds the VIM clock if the action took time
+            assert changed in ([b'{"id":"ns-7",'], [b'{"id":"ns-7",', b'],"next-ns":2'])
+        assert indexed == []
+
+    def test_a_new_or_unknown_id_indexes_the_file(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root, count=20)
+        indexed = _spy(monkeypatch, "_index")
+        assert run_cli("--store", str(root), "kpi", "ns-21") == (1, "", "error: instance not found: ns-21\n")
+        assert len(indexed) == 1
+        status, out, err = run_cli("--store", str(root), "ns-create", "wg-vpn")
+        assert (status, out, err) == (0, "created ns-21 (state Running)\n", "")
+        assert len(indexed) == 2
+
+    def test_a_line_out_of_layout_is_indexed_late_and_rewritten(self, tmp_path):
+        for name in ("lines", "reordered"):
+            save_peered_store(tmp_path / name, count=20)
+        path = tmp_path / "reordered" / "state.json"
+        lines = path.read_bytes().split(b"\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"ns-3.m1.gw",'))
+        doc = json.loads(lines[at].removesuffix(b","))
+        lines[at] = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b","
+        assert not lines[at].startswith(b'{"id":')  # its keys sorted by hand, the id not first
+        path.write_bytes(b"\n".join(lines))
+        config = str(SAMPLES / "config-seeded-keys.yaml")
+        for argv in (["kpi", "ns-3"], ["ns-show", "ns-2"], ["ns-create", "wg-vpn", "--config", config]):
+            expected = run_cli("--store", str(tmp_path / "lines"), *argv)
+            assert expected[0] == 0
+            assert run_cli("--store", str(tmp_path / "reordered"), *argv) == expected, argv
+        assert path.read_bytes() == (tmp_path / "lines" / "state.json").read_bytes()
+
     def test_corrupt_instance_fails_only_commands_that_touch_it(self, tmp_path):
         root = tmp_path / "s"
         save_peered_store(root)
@@ -791,6 +848,61 @@ class TestDecodeOnDemand:
             assert status == 1
             assert err.startswith("error: corrupt state file") and err.count("\n") == 1
             assert "ns-3" in err and "instance not found" not in err
+
+
+@pytest.fixture(scope="module")
+def peered_template(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("template") / "s"
+    save_peered_store(root)
+    return root
+
+
+_COMMANDS = st.lists(st.tuples(
+    st.sampled_from(["ns-create", "get-public-key", "add-peer", "del-peer", "kpi", "ns-show", "ns-delete"]),
+    st.integers(1, 5),  # instance: three stored, two that ns-create may add
+    st.integers(1, 2),  # member
+    st.integers(1, 4),  # which key seed or peer key
+), min_size=1, max_size=8)
+
+
+def _argv(command: str, instance: int, member: int, seed: int, configs: Path) -> list[str]:
+    ns = f"ns-{instance}"
+    if command == "ns-create":
+        return ["ns-create", "wg-vpn", "--config", str(configs / f"config-{seed}.yaml")]
+    if command in ("kpi", "ns-show", "ns-delete"):
+        return [command, ns]
+    peer = ["--param", f"public-key={generate_keypair(bytes([seed]) * 32).public_b64}"]
+    if command == "add-peer":
+        peer += ["--param", f"allowed-ips=10.{seed}.0.0/24"]
+    return ["ns-action", ns, str(member), command, *(peer if command != "get-public-key" else [])]
+
+
+class TestSpliceMatchesWholeParse:
+    @settings(max_examples=40, deadline=None)
+    @given(commands=_COMMANDS)
+    def test_same_results_and_bytes_as_a_store_parsed_whole(self, peered_template, commands):
+        """A store in the line layout, and its twin re-indented before every
+        command so that each load parses it whole, answer alike and save the
+        same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for seed in range(1, 5):
+                (tmp / f"config-{seed}.yaml").write_text(
+                    f'member.1.key-seed: "{f"{seed:02x}" * 32}"\n'
+                    f'member.2.key-seed: "{f"{seed + 8:02x}" * 32}"\n', encoding="utf-8")
+            lines, whole = tmp / "lines", tmp / "whole"
+            for root in (lines, whole):
+                shutil.copytree(peered_template, root)
+            for command in commands:
+                argv = _argv(*command, tmp)
+                before = (lines / "state.json").read_bytes()
+                indented = json.dumps(json.loads((whole / "state.json").read_bytes()), indent=2).encode()
+                (whole / "state.json").write_bytes(indented)
+                results = [tuple(str(part).replace(str(root), "<store>")
+                                 for part in run_cli("--store", str(root), *argv)) for root in (lines, whole)]
+                assert results[0] == results[1], argv
+                after = (whole / "state.json").read_bytes()
+                assert (lines / "state.json").read_bytes() == (before if after == indented else after), argv
 
 
 def _corrupt_vim(root: Path, section: str, key: str, entry_id: str, corrupt):
@@ -838,14 +950,22 @@ class TestFailureScope:
         assert ns3_line() == truncated
 
     @pytest.mark.parametrize("line", [b'{"id":"ns-3', b'{"id":"ns\\q-3","events":[]}'])
-    def test_unreadable_key_fails_the_whole_load(self, tmp_path, line):
+    def test_unreadable_key_fails_only_commands_that_index_the_file(self, tmp_path, line):
         root = tmp_path / "s"
         save_peered_store(root)
         path = root / "state.json"
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join(line if old.startswith(b'{"id":"ns-3",') else old for old in lines))
-        self.assert_fails(root, "kpi", "ns-1", prefix="state file")
-        self.assert_fails(root, "ns-show", "ns-2", prefix="state file")
+        # a lookup by key finds its own line without reading the others' keys
+        self.assert_works(root, "kpi", "ns-1")
+        self.assert_works(root, "ns-show", "ns-2")
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        self.assert_works(root, "ns-action", "ns-2", "1", "add-peer", "--param", f"public-key={third}",
+                          "--param", "allowed-ips=10.9.0.0/24")
+        assert line in path.read_bytes().split(b"\n")
+        # no line starts with ns-3's key, and adding an instance indexes every line
+        self.assert_fails(root, "kpi", "ns-3", prefix="state file")
+        self.assert_fails(root, "ns-create", "wg-vpn", prefix="state file")
 
     def test_corrupt_vim_network(self, tmp_path):
         root = tmp_path / "s"

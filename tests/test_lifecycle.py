@@ -113,6 +113,7 @@ class TestNsCreate:
     @pytest.mark.parametrize("key,value", [
         ("member.1.listen-port", "abc"),
         ("member.1.listen-port", "70000"),
+        *(("member.1.listen-port", port) for port in ("5_1820", " 51820 ", "+51820", "５１８２０")),
         ("member.1.tunnel-address", "999.1.1.1"),
         ("member.1.key-seed", "zz"),
         ("member.1.key-seed", "0a"),  # too short
@@ -124,6 +125,14 @@ class TestNsCreate:
         for link in orch.catalog.get("nsd", "wg-vpn").virtual_links:
             with pytest.raises(VimError, match="unknown network"):
                 orch.vim.network(f"ns-1.{link.name}")
+
+    def test_listen_port_is_ascii_digits_only(self, orch):
+        with pytest.raises(LifecycleError) as info:
+            orch.ns_create(ADMIN, "wg-vpn", {"member.1.listen-port": "５１８２０"})
+        assert str(info.value) == ("bad value for 'member.1.listen-port': "
+                                   "invalid literal for int() with base 10: '５１８２０'")
+        instance_id = orch.ns_create(ADMIN, "wg-vpn", {"member.1.listen-port": "51821"})
+        assert orch.instances[instance_id].record(1).table.listen_endpoint.port == 51821
 
     def test_tenant_denied(self, orch):
         with pytest.raises(AuthorizationError, match="authorization denied"):
@@ -363,6 +372,9 @@ class TestDeclaredParamTypes:
     def test_every_schema_type_has_a_parser(self):
         assert set(PARAM_TYPES) == set(PARAM_PARSERS)
 
+    def test_an_int_may_be_negative(self):
+        assert PARAM_PARSERS["int"]("-42") == -42
+
     def test_values_of_each_type_run(self):
         orch, instance_id = gateway_instance(TYPED_GATEWAY)
         result = orch.ns_action(ADMIN, instance_id, 1, "set-options", {
@@ -372,6 +384,7 @@ class TestDeclaredParamTypes:
 
     @pytest.mark.parametrize("key,value,message", [
         ("count", "x", "expected an integer, got 'x'"),
+        *(("count", count, f"expected an integer, got {count!r}") for count in ("4_2", " 42 ", "+42", "４２")),
         ("address", "999.0.0.1", "expected an IPv4 address, got '999.0.0.1'"),
         ("prefixes", "10.0.0.1/24", "expected an IPv4 CIDR, got '10.0.0.1/24'"),
         ("prefixes", "", "expected an IPv4 CIDR, got ''"),

@@ -244,7 +244,9 @@ class TestUdp:
 
     def test_endpoint_parse(self):
         assert Endpoint.parse("10.0.0.1:51820") == Endpoint("10.0.0.1", 51820)
-        for text in ("10.0.0.1", "51820", "999.0.0.1:51820", "10.0.0.1:0", "10.0.0.1:70000", "10.0.0.1:x"):
+        for text in ("10.0.0.1", "51820", "999.0.0.1:51820", "10.0.0.1:0", "10.0.0.1:70000", "10.0.0.1:x",
+                     # int() takes each of these ports; a port is ASCII digits only
+                     "10.0.0.1:5_1820", "10.0.0.1: 51820 ", "10.0.0.1:+51820", "10.0.0.1:５１８２０"):
             with pytest.raises(TransportError) as info:
                 Endpoint.parse(text)
             assert str(info.value) == f"expected ip:port, got {text!r}"
