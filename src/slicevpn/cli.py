@@ -25,10 +25,19 @@ from slicevpn.errors import SliceVpnError
 from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_throughput
 from slicevpn.lifecycle import export_event_log, unbind_gateway
 from slicevpn.store import Store, loaded
-from slicevpn.transport import UdpBackend
+from slicevpn.transport import UdpBackend, parse_decimal
 from slicevpn.vimsim import VimError, format_seconds, load_timing_profile
 
 DEFAULT_STORE = ".slicevpn"
+
+
+def _int(text: str) -> int:
+    """An integer argument, as strict as ``parse_decimal``; refused, it is
+    the usage error a plain ``int`` argument gives."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ns-action", help="run a Day-2 action on a member VNF")
     p.add_argument("instance")
-    p.add_argument("member", type=int)
+    p.add_argument("member", type=_int)
     p.add_argument("action")
     p.add_argument("--param", action="append", default=[], metavar="K=V")
 
@@ -78,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("kind", choices=("throughput", "latency"))
     p.add_argument("--duration", type=float, default=10.0, help="throughput run seconds")
-    p.add_argument("--requests", type=int, default=1000, help="latency echo count")
-    p.add_argument("--payload-size", type=int, default=8192)
+    p.add_argument("--requests", type=_int, default=1000, help="latency echo count")
+    p.add_argument("--payload-size", type=_int, default=8192)
     p.add_argument("--timeout", type=float, default=2.0, help="per-echo deadline seconds")
     p.add_argument("--members", help="gateway member pair, e.g. 1,2 (default: first two gateways)")
 
@@ -138,7 +147,7 @@ def _members_arg(text: str | None) -> tuple[int | None, int | None]:
     if text is None:
         return None, None
     try:
-        a, b = (int(x) for x in text.split(","))
+        a, b = (parse_decimal(x) for x in text.split(","))
     except ValueError:
         raise SliceVpnError(f"--members expects two indices like 1,2, got {text!r}") from None
     return a, b

@@ -293,7 +293,7 @@ class Orchestrator:
         self._require(actor, "ns_create")
         nsd = self._instantiable("nsd", nsd_id)
         params = dict(params or {})
-        self._check_params(params, nsd)
+        values = self._check_params(params, nsd)
 
         instance = NetworkServiceInstance(
             id=f"ns-{self._next_ns}",
@@ -310,7 +310,7 @@ class Orchestrator:
         self._emit(instance, "NBI", f"ns-create nsd={nsd_id}" + (f" params: {param_note}" if param_note else ""))
         try:
             self._deploy_infra(instance, nsd)
-            self._configure_day1(instance, nsd)
+            self._configure_day1(instance, values)
         except SliceVpnError as exc:
             self._fail(instance, str(exc))
             raise
@@ -318,8 +318,11 @@ class Orchestrator:
         self._emit(instance, "NBI", f"instance {instance.id} running")
         return instance.id
 
-    def _check_params(self, params: dict[str, str], nsd: NsDescriptor):
+    def _check_params(self, params: dict[str, str], nsd: NsDescriptor) -> dict[str, object]:
+        """`params` checked, by key, each value as Day-1 uses it: a listen
+        port as an int, a key seed as its 32 bytes, the others as given."""
         members = {m.member_index for m in nsd.vnf_members}
+        values = {}
         for key, value in params.items():
             m = _PARAM_KEY_RE.match(key)
             if m is None:
@@ -329,21 +332,21 @@ class Orchestrator:
             kind = m.group("key")
             try:
                 if kind == "listen-port":
-                    port = parse_decimal(value)
-                    if not 0 < port < 65536:
+                    value = parse_decimal(value)
+                    if not 0 < value < 65536:
                         raise ValueError("port out of range")
                 elif kind == "tunnel-address":
                     ipaddress.IPv4Address(value)
                 elif kind == "key-seed":
-                    if len(bytes.fromhex(value)) != 32:
+                    value = bytes.fromhex(value)
+                    if len(value) != 32:
                         raise ValueError("seed must be 32 bytes of hex")
                 elif kind == "listen-interface" and not value:
                     raise ValueError("empty interface name")
             except ValueError as exc:
                 raise LifecycleError(f"bad value for {key!r}: {exc}") from exc
-
-    def _member_param(self, instance: NetworkServiceInstance, member: int, key: str) -> str | None:
-        return instance.params.get(f"member.{member}.{key}")
+            values[key] = value
+        return values
 
     def _deploy_infra(self, instance: NetworkServiceInstance, nsd: NsDescriptor):
         self._set_state(instance, "DeployingInfra")
@@ -391,7 +394,7 @@ class Orchestrator:
         instance.events.extend(sorted(ready_events, key=lambda e: (e.ts, e.message)))
         self._emit(instance, "RO", "deploy-complete")
 
-    def _configure_day1(self, instance: NetworkServiceInstance, nsd: NsDescriptor):
+    def _configure_day1(self, instance: NetworkServiceInstance, values: dict[str, object]):
         self._set_state(instance, "ConfiguringDay1")
         anchor = self.clock.now
         prim_events: list[Event] = []
@@ -407,7 +410,7 @@ class Orchestrator:
                 prim_events.append(Event(started, "VCA",
                                          f"primitive-start member={record.member_index} name={prim.name}"))
                 try:
-                    self._run_initial_primitive(instance, record, prim.name)
+                    self._run_initial_primitive(record, prim.name, values)
                 except SliceVpnError as exc:
                     record.executed_primitives.append(ExecutedPrimitive(
                         prim.name, {}, started, finished, f"error: {exc}"))
@@ -438,21 +441,19 @@ class Orchestrator:
             raise LifecycleError(f"member {record.member_index} has no vdus")
         return self.vim.vdu(record.vdu_ids[0])
 
-    def _run_initial_primitive(self, instance: NetworkServiceInstance, record: VnfRecord, name: str):
+    def _run_initial_primitive(self, record: VnfRecord, name: str, values: dict[str, object]):
+        """Run Day-1 primitive `name` on `record`, with the params ``_check_params`` parsed."""
         if name == "generate-keys":
-            seed_hex = self._member_param(instance, record.member_index, "key-seed")
-            seed = bytes.fromhex(seed_hex) if seed_hex else None
-            keypair = generate_keypair(seed)
+            member = f"member.{record.member_index}."
+            keypair = generate_keypair(values.get(member + "key-seed"))
             vdu = self._gateway_vdu(record)
-            listen_iface_name = (self._member_param(instance, record.member_index, "listen-interface")
-                                 or DEFAULT_LISTEN_INTERFACE)
+            listen_iface_name = values.get(member + "listen-interface") or DEFAULT_LISTEN_INTERFACE
             listen_iface = vdu.interface(listen_iface_name)
             if listen_iface is None:
                 raise LifecycleError(
                     f"member {record.member_index} has no interface {listen_iface_name!r} to listen on")
-            port_text = self._member_param(instance, record.member_index, "listen-port")
-            port = parse_decimal(port_text) if port_text else DEFAULT_LISTEN_PORT
-            tunnel_address = self._member_param(instance, record.member_index, "tunnel-address")
+            port = values.get(member + "listen-port") or DEFAULT_LISTEN_PORT
+            tunnel_address = values.get(member + "tunnel-address")
             if tunnel_address is None:
                 if record.member_index > 254:
                     raise LifecycleError(

@@ -9,16 +9,16 @@ echoed into reports, logs, or command output.
 
 ``state.json`` is compact JSON with one document per line: each instance,
 VIM network and VIM VDU on a line of its own, its key (``"id"`` or
-``"name"``) first, between skeleton lines that hold the global fields.
-Loading parses only the skeleton, found from the file's ends; a document
-stays in the loaded bytes, and a catalog file unparsed, until a command
-looks it up (``LazyDocuments``), and a lookup finds its line by key with
-one backward search (``_StateFile.find``). Only a lookup that misses, or
-adding, deleting or listing documents (``ns-create``, ``ns-delete``),
-indexes the whole file. A file out of the line layout is parsed whole, and
-the next save rewrites it in the layout. Saving splices the re-encoded
-touched lines into the loaded bytes (after indexing, it writes each line)
-and writes a catalog file only for a descriptor onboarded since loading.
+``"name"``) first, between skeleton lines that hold the global fields. A
+file in another JSON layout, or holding ``\\r``, is laid out in lines as it
+loads (``_StateFile``). Loading parses only the skeleton, found from the
+file's ends; a document stays in the loaded bytes, and a catalog file
+unparsed, until a command looks it up (``LazyDocuments``), and a lookup finds
+its line by key with one backward search. Only a lookup that misses, or
+listing documents, indexes the whole file: ``ns-create`` does, ``ns-delete``
+does not. Every save splices the re-encoded touched lines into the loaded
+bytes, drops deleted ones and appends added ones to their group, and writes
+a catalog file only for a descriptor onboarded since loading.
 Each file is written under a temporary name and renamed over the old one,
 catalog files before ``state.json``, so a save cut off midway leaves every
 file whole, old or new. A VNF record keeps the Day-2 primitives its VNFD
@@ -39,7 +39,7 @@ import functools
 import ipaddress
 import json
 import os
-from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
+from collections.abc import Callable, Iterable, Mapping, MutableMapping
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -289,94 +289,134 @@ def _encode(value) -> bytes:
 
 
 def _line(doc: dict, key: str) -> bytes:
-    """`doc` as one compact line: `key` first, for ``_key``, then the rest sorted."""
+    """`doc` as one compact line: `key` first, for ``_index``, then the rest sorted."""
     rest = _encode({k: v for k, v in doc.items() if k != key})
     return b"".join((b'{"', key.encode("ascii"), b'":', _encode(doc[key]),
                      b"," if rest != b"{}" else b"", rest[1:]))
-
-
-def _key(line: bytes, prefix: bytes) -> str:
-    """The key at the start of a document line that should start with `prefix`."""
-    if not line.startswith(prefix):
-        raise ValueError(f"a document line does not start with {prefix.decode()}")
-    return json.decoder.scanstring(line.decode("utf-8"), len(prefix))[0]
 
 
 def _lists(state: dict) -> tuple:
     return state["instances"], state["vim"]["networks"], state["vim"]["vdus"]
 
 
-def _document(line: bytes) -> bytes:
-    """A document line without the comma that separates it from the next."""
-    return line.rstrip(b" \t\r").removesuffix(b",")
+def _line_end(data: bytes, newline: int) -> int:
+    """Where the line that ends at `newline` ends without the separator after
+    it: trailing spaces and tabs, then one comma."""
+    while data[newline - 1] in b" \t":
+        newline -= 1
+    return newline - 1 if data[newline - 1] == ord(",") else newline
 
 
-def _parse_whole(data: bytes) -> tuple[dict, list[dict[str, bytes]]]:
-    """The state, and its documents encoded as lines by key."""
-    state = json.loads(data)
-    return state, [{_key(line, prefix): line for line in (_line(doc, key) for doc in docs)}
-                   for docs, key, prefix in zip(_lists(state), _KEYS, _PREFIXES)]
-
-
-def _index(data: bytes) -> list[dict[str, bytes]]:
-    """Every document line of a file ``_read_state`` found in the line layout,
-    by key; the whole file parsed, if it holds a line out of the layout."""
-    skeleton, groups = [], [[], [], []]
-    for line in data.split(b"\n"):
-        group = len(skeleton) - 1  # the group a document line here would belong to
-        if 0 <= group < len(groups) and line.startswith(_PREFIXES[group]):
-            groups[group].append(_document(line))
-        else:
-            skeleton.append(line)
-    if len(skeleton) != 4:  # not just the four lines ``_read_state`` checked
-        return _parse_whole(data)[1]
-    return [{_key(line, prefix): line for line in lines} for lines, prefix in zip(groups, _PREFIXES)]
+def _index(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
+    """Every document line's (start, end) by key, per group; a ValueError for a line out of layout."""
+    spans = ({}, {}, {})
+    for (lo, hi), prefix, group in zip(bounds, _PREFIXES, spans):
+        start = lo + 1
+        while start <= hi:
+            newline = data.find(b"\n", start)
+            end = _line_end(data, newline)
+            if not data.startswith(prefix, start, end):
+                raise ValueError(f"a document line does not start with {prefix.decode()}")
+            group[json.decoder.scanstring(data[start:end].decode("utf-8"), len(prefix))[0]] = (start, end)
+            start = newline + 1
+    return spans
 
 
 class _StateFile:
-    """A loaded ``state.json``: its bytes, each group's byte range, and
-    where each line found by key lies. The whole file is indexed only when
-    a lookup by key misses or a group is listed; a file parsed whole comes
-    indexed."""
+    """A loaded ``state.json`` in the line layout: its bytes, its global
+    fields, each group's byte range, and where each line found by key lies.
+    A file is laid out in lines as it loads if it is in another layout, and
+    when indexing finds a line of it out of the layout."""
 
-    def __init__(self, data: bytes, bounds: list[tuple[int, int]], path: Path, index=None):
-        self.data = data
-        self.bounds = bounds  # per group: its first line's \n to its closing line's \n
+    def __init__(self, data: bytes, path: Path | None = None):
         self.path = path
+        if not self._read(data):
+            self._relayout(data)
+
+    def _read(self, data: bytes) -> bool:
+        """Take `data` if it holds no ``\\r`` and its skeleton is in the layout:
+        its first line and last three that start with ``]`` hold the global fields."""
+        closing = [len(data)]  # where each closing line starts: at the \n before it
+        for _ in range(3):
+            closing.insert(0, data.rfind(b"\n]", 0, max(closing[0], 0)))
+        if closing[0] < 0 or b"\r" in data:
+            return False
+        opening = [data.find(b"\n"), *(data.find(b"\n", at + 1) for at in closing[:2])]  # where each ends
+        skeleton = (data[:opening[0]], *(data[at + 1:end] for at, end in zip(closing, opening[1:])),
+                    data[closing[2] + 1:])
+        try:  # a marker in place of each group: the state must hold each in its list
+            state = json.loads(b"%b0%b1%b2%b" % skeleton)
+            if list(_lists(state)) != [[0], [1], [2]]:
+                return False
+        except (ValueError, KeyError, TypeError):
+            return False
+        self.data, self.state = data, state
+        self.bounds = list(zip(opening, closing))  # per group: its first line's \n to its closing line's \n
         self.spans = ({}, {}, {})  # per group: key -> (start, end) of each line found by key
-        self.index = index  # per group: key -> line, once indexed
+        self.indexed = opening == closing[:3]  # whether the spans hold every line, as in a file of none
+        return True
+
+    def _relayout(self, data: bytes):
+        """Take `data`, a whole state in any JSON layout, laid out in lines:
+        its documents spliced into its empty skeleton."""
+        state = json.loads(data)
+        groups = [[(doc[key], _line(doc, key)) for doc in docs] for docs, key in zip(_lists(state), _KEYS)]
+        skeleton = _skeleton({**state, "instances": [0], "vim": {**state["vim"], "networks": [1], "vdus": [2]}})
+        if not (self._read(b"\n".join(skeleton)) and self._read(b"".join(self.splice(skeleton, groups)))):
+            raise ValueError("its global fields hide where its lists are")
 
     def find(self, group: int, key) -> bytes | None:
-        """The last line of `group` to start with its key prefix and `key`, or the index's."""
-        if self.index is None:
+        """The line of `group` under `key`: the last to start with the group's key
+        prefix and `key`, found with one backward search, or else the index's."""
+        if not self.indexed:
             lo, hi = self.bounds[group]
             needle = b"\n" + _PREFIXES[group][:-1] + _encode(key)
             at = self.data.rfind(needle, lo, hi)
             if at >= 0 and self.data[at + len(needle)] in b",}":
-                line = _document(self.data[at + 1:self.data.find(b"\n", at + 1)])
-                self.spans[group][key] = (at + 1, at + 1 + len(line))
-                return line
-        return self.lines(group).get(key)
+                self.spans[group][key] = (at + 1, _line_end(self.data, self.data.find(b"\n", at + 1)))
+        span = self.spans[group].get(key) or self.all_spans(group).get(key)
+        return None if span is None else self.data[span[0]:span[1]]
 
-    def lines(self, group: int) -> dict[str, bytes]:
-        if self.index is None:
+    def all_spans(self, group: int) -> dict:
+        """The (start, end) of every line of `group`, by key: the whole file indexed,
+        once, and laid out in lines first if a line is out of the layout."""
+        if not self.indexed:
             try:
-                self.index = _index(self.data)
+                try:
+                    spans = _index(self.data, self.bounds)
+                except ValueError:
+                    self._relayout(self.data)
+                    spans = _index(self.data, self.bounds)
             except _DECODE_ERRORS as exc:
                 raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
-            self.data = b""  # the index holds each line
-        return self.index[group]
+            self.spans, self.indexed = spans, True
+        return self.spans[group]
 
-    def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple[str, bytes]]]) -> Iterator:
-        """The loaded bytes with `skeleton` in place of the skeleton lines,
-        and each (key, line) of `groups` in place of the line found by key."""
-        view = memoryview(self.data)
-        yield skeleton[0]
-        for (at, hi), spans, lines, closing in zip(self.bounds, self.spans, groups, skeleton[1:]):
-            for start, end, line in sorted(spans[key] + (line,) for key, line in lines):
-                yield from (view[at:start], line)
-                at = end
-            yield from (view[at:hi], b"\n" + closing)
+    def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple]]) -> list:
+        """The pieces of the loaded bytes with `skeleton` in place of the skeleton
+        lines and, in each group, each (key, line) of `groups` in place of the line
+        under `key`, or after the group's last line if it has none; a line of None
+        drops the one under `key`. Every other line stays as loaded."""
+        for group, changes in enumerate(groups):  # a key set unread may still have a line
+            for key in [key for key, _ in changes if key not in self.spans[group]]:
+                self.find(group, key)
+        data, view = self.data, memoryview(self.data)
+        out = [skeleton[0]]
+        for (lo, hi), spans, changes, closing in zip(self.bounds, self.spans, groups, skeleton[1:]):
+            pieces, at = [], lo + 1  # where the next line not spliced yet starts
+            for start, end, line in sorted(spans[key] + (line,) for key, line in changes if key in spans):
+                if at < start:  # the lines before, without the separator after the last
+                    pieces.append(view[at:_line_end(data, start - 1)])
+                if line is not None:
+                    pieces.append(line)
+                at = data.find(b"\n", end) + 1
+            if at < hi:
+                pieces.append(view[at:hi])
+            pieces += [line for key, line in changes if key not in spans and line is not None]
+            for i, piece in enumerate(pieces):
+                out += (b",\n" if i else b"\n", piece)
+            out.append(b"\n" + closing)
+        return out
 
 
 class _Group(NamedTuple):
@@ -387,61 +427,19 @@ class _Group(NamedTuple):
     def get(self, key) -> bytes | None:
         return self.file.find(self.group, key)
 
-    def items(self):
-        return self.file.lines(self.group).items()
+    def keys(self):
+        return self.file.all_spans(self.group).keys()
 
 
-def _read_state(data: bytes, path: Path) -> tuple[dict, _StateFile]:
-    """The state's global fields, and its documents. Only the skeleton is
-    parsed: the first line and the last three that start with ``]``. A file
-    not in the line layout is parsed whole, and so is one holding ``\\r``,
-    whose loaded bytes a save must not splice back."""
-    closing = [len(data)]  # where each closing line starts: at the \n before it
-    for _ in range(3):
-        closing.insert(0, data.rfind(b"\n]", 0, max(closing[0], 0)))
-    if closing[0] >= 0 and b"\r" not in data:
-        opening = [data.find(b"\n"), *(data.find(b"\n", at + 1) for at in closing[:2])]  # where each ends
-        skeleton = (data[:opening[0]], *(data[at + 1:end] for at, end in zip(closing, opening[1:])),
-                    data[closing[2] + 1:])
-        try:  # a marker in place of each group: the state must hold each in its list
-            state = json.loads(b"%b0%b1%b2%b" % skeleton)
-            if list(_lists(state)) == [[0], [1], [2]]:
-                return state, _StateFile(data, list(zip(opening, closing)), path)
-        except (ValueError, KeyError, TypeError):
-            pass
-    state, index = _parse_whole(data)
-    return state, _StateFile(b"", [], path, index)
-
-
-def _skeleton(orch: Orchestrator) -> tuple[bytes, ...]:
-    """The lines around the document lines: the state with ``_read_state``'s markers in place of
-    the three lists' documents, split there (no other list in it sits under their keys)."""
-    text = _encode({
-        "version": 1,
-        "vim": {"clock": _frac(orch.vim.clock.now), "networks": [1], "vdus": [2]},
-        "next-ns": orch._next_ns,
-        "next-slice": orch._next_slice,
-        "next-slice-net": orch._next_slice_net,
-        "actors": [{"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
-                   for a in orch.actors.values()],
-        "instances": [0],
-        "slices": [{"id": s.id, "nst-id": s.nst_id, "ns-instance-ids": list(s.ns_instance_ids),
-                    "networks": s.networks} for s in orch.slices.values()],
-    })
+def _skeleton(state: dict) -> tuple[bytes, ...]:
+    """The lines around the document lines: `state`, which holds a marker in place of
+    each group, encoded and split there (no other list in it sits under their keys)."""
+    text = _encode(state)
     lines = []
     for marker in (b'"instances":[0', b'"networks":[1', b'"vdus":[2'):
         head, _, text = text.partition(marker)
         lines.append(head + marker[:-1])
     return (*lines, text)
-
-
-def _layout(skeleton: tuple[bytes, ...], groups: list[list[bytes]]) -> Iterator[bytes]:
-    """Each skeleton line, then the document lines of the group it opens."""
-    yield skeleton[0]
-    for lines, closing in zip(groups, skeleton[1:]):
-        for i, line in enumerate(lines):
-            yield (b",\n" if i else b"\n") + line
-        yield b"\n" + closing
 
 
 def _catalog_name(kind: str, id_: str) -> str:
@@ -470,9 +468,11 @@ class LazyDocuments(MutableMapping):
     networks and VDUs, and the catalog in these, so a command decodes only
     what it touches.
 
-    ``loaded`` finds one loaded entry (``get``) or lists them (``items``);
-    the mapping lists them only once a key is missing, added or deleted, or
-    the mapping is iterated or sized.
+    ``loaded`` finds one loaded entry by key (``get``) and lists the loaded
+    keys in order (``keys``); the mapping lists them only when it is
+    iterated or sized. ``decoded`` holds each object decoded or set since
+    loading, ``deleted`` each key deleted since; an added key comes after
+    every loaded one.
 
     A malformed document raises ``StoreError`` naming ``describe(key)``,
     never a ``KeyError``, which ``Mapping.get`` would report as a missing
@@ -484,86 +484,50 @@ class LazyDocuments(MutableMapping):
 
     def __init__(self, loaded, decode: Callable, describe: Callable[[object], str]):
         self.loaded = loaded
-        # key -> the object once decoded or set; once listed, also each other loaded entry
-        self._entries = {}
-        self._undecoded = set()
-        self._listed = False
+        self.decoded = {}  # key -> the object, once decoded or set
+        self.deleted = set()
         self._decode = decode
         self._describe = describe
 
-    def _list(self) -> dict:
-        if not self._listed:
-            entries = dict(self.loaded.items())
-            self._undecoded = entries.keys() - self._entries.keys()
-            entries.update(self._entries)
-            self._entries, self._listed = entries, True
-        return self._entries
-
-    def _find(self, key):
-        """The loaded entry under `key`, not decoded yet, or None."""
-        if not self._listed:
-            entry = self.loaded.get(key)
-            if entry is not None:
-                return entry
-            self._list()
-        return self._entries[key] if key in self._undecoded else None
-
     def __getitem__(self, key):
-        if key in self._entries and key not in self._undecoded:
-            return self._entries[key]
-        entry = self._find(key)
+        if key in self.decoded:
+            return self.decoded[key]
+        entry = None if key in self.deleted else self.loaded.get(key)
         if entry is None:
             raise KeyError(key)
         try:
-            entry = self._decode(entry)
+            value = self._decode(entry)
         except _DECODE_ERRORS as exc:
-            raise StoreError(f"corrupt {self._describe(key)}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        self._entries[key] = entry
-        self._undecoded.discard(key)
-        return entry
+            raise StoreError(f"corrupt {self._describe(key)}: {type(exc).__name__}: {exc}") from exc
+        self.decoded[key] = value
+        return value
 
     def __setitem__(self, key, value):
-        if key not in self._entries:  # an added entry goes after every loaded one
-            self._list()
-        self._entries[key] = value
-        self._undecoded.discard(key)
+        self.decoded[key] = value
+        self.deleted.discard(key)
 
     def __delitem__(self, key):
-        del self._list()[key]
-        self._undecoded.discard(key)
+        if key not in self:
+            raise KeyError(key)
+        self.decoded.pop(key, None)
+        self.deleted.add(key)
 
     def __contains__(self, key) -> bool:
-        return key in self._entries or self._find(key) is not None
+        return key in self.decoded or (key not in self.deleted and self.loaded.get(key) is not None)
 
     def __iter__(self):
-        return iter(self._list())
+        loaded = self.loaded.keys()
+        return iter([key for key in loaded if key not in self.deleted]
+                    + [key for key in self.decoded if key not in loaded])
 
     def __len__(self) -> int:
-        return len(self._list())
-
-    def documents(self, encode: Callable) -> list:
-        """Every entry, in order: an undecoded one as loaded, the others
-        through ``encode``."""
-        return [entry if key in self._undecoded else encode(entry)
-                for key, entry in self._list().items()]
-
-    def decoded(self) -> list[tuple]:
-        """The (key, object) pairs decoded or set since loading."""
-        return [(key, entry) for key, entry in self._entries.items()
-                if key not in self._undecoded]
+        return sum(1 for _ in self)
 
 
 def loaded(entries: Mapping) -> list[tuple]:
     """The (key, object) pairs in memory: those decoded or set since loading,
     or every pair of a plain mapping."""
-    return entries.decoded() if isinstance(entries, LazyDocuments) else list(entries.items())
-
-
-def _documents(entries: Mapping, encode: Callable) -> list:
-    if isinstance(entries, LazyDocuments):
-        return entries.documents(encode)
-    return [encode(value) for value in entries.values()]
+    return list((entries.decoded if isinstance(entries, LazyDocuments) else entries).items())
 
 
 def _lazy(lines: _Group, decode: Callable, where: str) -> LazyDocuments:
@@ -571,8 +535,9 @@ def _lazy(lines: _Group, decode: Callable, where: str) -> LazyDocuments:
     return LazyDocuments(lines, lambda line: decode(json.loads(line)), lambda k: f"{where} {k}")
 
 
-def _orchestrator_from_doc(state: dict, file: _StateFile, backend) -> Orchestrator:
+def _orchestrator_from_doc(file: _StateFile, backend) -> Orchestrator:
     where = f"state file {file.path}:"
+    state = file.state
     instances, networks, vdus = (_Group(file, group) for group in range(3))
     vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
     vim._networks = _lazy(networks, _network_from_doc, f"{where} network")
@@ -628,14 +593,23 @@ class Store:
         groups = [(orch.instances, lambda i: _line(_instance_to_doc(i), "id")),
                   (orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
                   (orch.vim._vdus, lambda v: _line(_vdu_to_doc(v), "id"))]
+        skeleton = _skeleton({
+            "version": 1,
+            "vim": {"clock": _frac(orch.vim.clock.now), "networks": [1], "vdus": [2]},
+            "next-ns": orch._next_ns, "next-slice": orch._next_slice, "next-slice-net": orch._next_slice_net,
+            "actors": [{"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
+                       for a in orch.actors.values()],
+            "instances": [0],
+            "slices": [{"id": s.id, "nst-id": s.nst_id, "ns-instance-ids": list(s.ns_instance_ids),
+                        "networks": s.networks} for s in orch.slices.values()],
+        })
         lines = getattr(orch.instances, "loaded", None)
-        if isinstance(lines, _Group) and lines.file.index is None:  # each touched line was found by key
-            pieces = lines.file.splice(_skeleton(orch), [[(key, encode(value)) for key, value in loaded(entries)]
-                                                         for entries, encode in groups])
-        else:
-            pieces = _layout(_skeleton(orch), [_documents(entries, encode) for entries, encode in groups])
+        # an orchestrator built in memory is spliced into its own empty skeleton
+        file = lines.file if isinstance(lines, _Group) else _StateFile(b"\n".join(skeleton))
+        changes = [[(key, encode(value)) for key, value in loaded(entries)]
+                   + [(key, None) for key in getattr(entries, "deleted", ())] for entries, encode in groups]
         # after the catalog files, so that the state never names a descriptor not on disk
-        _write_atomic(self.root / STATE_FILE, pieces)
+        _write_atomic(self.root / STATE_FILE, file.splice(skeleton, changes))
 
     def load(self, backend=None) -> Orchestrator:
         """Rebuild the orchestrator. Instances, VIM entries and catalog
@@ -647,8 +621,7 @@ class Store:
             orch = Orchestrator(backend=backend)
         else:
             try:
-                state, file = _read_state(state_path.read_bytes(), state_path)
-                orch = _orchestrator_from_doc(state, file, backend)
+                orch = _orchestrator_from_doc(_StateFile(state_path.read_bytes(), state_path), backend)
             except (OSError, *_DECODE_ERRORS) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)

@@ -180,6 +180,14 @@ class TestErrors:
         status, _, _ = run_cli("--store", str(tmp_path / "s"), "kpi", "ns-1", "--bogus")
         assert status == 2
 
+    @pytest.mark.parametrize("member", ["+1", " 1", "0_1", "\uff11"])  # the last is a full-width 1
+    def test_member_index_is_ascii_digits_only(self, tmp_path, member):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        refused = run_cli("--store", store, "ns-action", "ns-1", member, "get-public-key")
+        status, out, err = run_cli("--store", store, "ns-action", "ns-1", "x", "get-public-key")
+        assert refused == (status, out, err.replace("'x'", repr(member))) and status == 2
+        assert err.endswith("error: argument member: invalid int value: 'x'\n")
+
     def test_bad_param_syntax(self, tmp_path):
         store = str(tmp_path / "s")
         status, _, err = run_cli("--store", store, "ns-action", "x", "1", "a", "--param", "no-equals")
@@ -370,6 +378,17 @@ class TestBench:
         status, out, err = run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency",
                                    "--members", members, "--requests", "20")
         assert (status, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("count", ["+1", " 1", "0_1", "\uff11"])
+    def test_counts_and_members_are_ascii_digits_only(self, tmp_path, count):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        for option in ("--requests", "--payload-size"):
+            status, out, err = run_cli("--store", store, "bench", "ns-1", "latency", option, count)
+            assert (status, out) == (2, "")
+            assert err.endswith(f"error: argument {option}: invalid int value: {count!r}\n")
+        members = f"{count},2"
+        assert run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency", "--members", members) \
+            == (1, "", f"error: --members expects two indices like 1,2, got {members!r}\n")
 
     def test_throughput_on_mem_is_refused(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
@@ -801,6 +820,13 @@ class TestDecodeOnDemand:
             changed = [old[:13] for old, new in zip(before, after) if old != new]
             # ns-7's line, and the skeleton line that holds the VIM clock if the action took time
             assert changed in ([b'{"id":"ns-7",'], [b'{"id":"ns-7",', b'],"next-ns":2'])
+        before = path.read_bytes().split(b"\n")
+        assert run_cli("--store", str(root), "ns-delete", "ns-7") == (0, "deleted ns-7\n", "")
+        after = path.read_bytes().split(b"\n")
+        assert len(after) == len(before) - 3  # its three network lines are dropped
+        assert all(line.startswith((b'{"id":"ns-7",', b'{"id":"ns-7.', b'{"name":"ns-7.'))
+                   for line in before if line not in after)
+        json.loads(b"\n".join(after))
         assert indexed == []
 
     def test_a_new_or_unknown_id_indexes_the_file(self, tmp_path, monkeypatch):

@@ -14,11 +14,12 @@ from conftest import (
     peer_gateways,
     sample_text,
 )
+from slicevpn import lifecycle
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, UnknownPeer, AuthFailure, generate_keypair
 from slicevpn.descriptors import PARAM_TYPES, parse_descriptor, parse_vnfd
 from slicevpn.errors import AuthorizationError
 from slicevpn.lifecycle import ADMIN, PARAM_PARSERS, Actor, LifecycleError, Orchestrator, export_event_log
-from slicevpn.transport import Endpoint
+from slicevpn.transport import Endpoint, parse_decimal
 from slicevpn.vimsim import VimError
 
 TENANT = Actor("tenant1", "tenant")
@@ -133,6 +134,19 @@ class TestNsCreate:
                                    "invalid literal for int() with base 10: '５１８２０'")
         instance_id = orch.ns_create(ADMIN, "wg-vpn", {"member.1.listen-port": "51821"})
         assert orch.instances[instance_id].record(1).table.listen_endpoint.port == 51821
+
+    def test_day1_params_are_parsed_once(self, orch, monkeypatch):
+        ports = []
+        monkeypatch.setattr(lifecycle, "parse_decimal", lambda text: ports.append(text) or parse_decimal(text))
+        params = {"member.1.listen-port": "51821", "member.2.tunnel-address": "10.77.0.2",
+                  "member.1.key-seed": WEST_SEED.hex()}
+        instance_id = orch.ns_create(ADMIN, "wg-vpn", params)
+        assert ports == ["51821"]  # checked and used from one parse
+        instance = orch.instances[instance_id]
+        assert instance.params == params  # kept as given
+        assert instance.record(1).table.listen_endpoint.port == 51821
+        assert instance.record(2).table.tunnel_address == "10.77.0.2"
+        assert instance.record(1).table.public_key_b64 == generate_keypair(WEST_SEED).public_b64
 
     def test_tenant_denied(self, orch):
         with pytest.raises(AuthorizationError, match="authorization denied"):

@@ -216,6 +216,78 @@ class TestLineLayout:
         assert replaced == [STATE_FILE]
 
 
+def _laid_out_in_lines(state: dict) -> bytes:
+    """`state` in the line layout: each document of its three lists on a line
+    of its own, its key first and the rest key-sorted, between the lines of
+    the rest of the state."""
+    text = json.dumps({**state, "instances": [], "vim": {**state["vim"], "networks": [], "vdus": []}},
+                      sort_keys=True, separators=(",", ":"))
+    out = []
+    for opening, docs, key in (('"instances":[', state["instances"], "id"),
+                               ('"networks":[', state["vim"]["networks"], "name"),
+                               ('"vdus":[', state["vim"]["vdus"], "id")):
+        head, _, text = text.partition(opening)
+        lines = [f'{{"{key}":{json.dumps(doc[key])},' + json.dumps(
+            {k: v for k, v in doc.items() if k != key}, sort_keys=True, separators=(",", ":"))[1:] for doc in docs]
+        out.append(head + opening + ("\n" + ",\n".join(lines) if lines else "") + "\n")
+    return ("".join(out) + text).encode()
+
+
+def _document_lines(data: bytes) -> set[bytes]:
+    return {line.removesuffix(b",") for line in data.split(b"\n") if line.startswith(b'{"')}
+
+
+class TestSplice:
+    """A save drops a deleted line, adds a line at the end of its group and
+    leaves every other line of the loaded file byte-identical."""
+
+    def save_after(self, root: Path, group: str, key: str, value=None) -> tuple[bytes, bytes]:
+        """The state file before and after deleting `key` from `group` (or setting it to `value`)."""
+        before = (root / STATE_FILE).read_bytes()
+        store = Store(root)
+        orch = store.load()
+        entries = {"instances": orch.instances, "networks": orch.vim._networks, "vdus": orch.vim._vdus}[group]
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+        store.save(orch)
+        return before, (root / STATE_FILE).read_bytes()
+
+    def test_a_stored_file_is_in_the_line_layout(self, tmp_path):
+        store = save_peered_store(tmp_path / "s")
+        data = (store.root / STATE_FILE).read_bytes()
+        assert data == _laid_out_in_lines(json.loads(data))
+
+    @pytest.mark.parametrize("group, key", [("instances", "id"), ("networks", "name"), ("vdus", "id")])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_delete_a_line(self, tmp_path, group, key, position):
+        root = save_peered_store(tmp_path / "s").root
+        expected = json.loads((root / STATE_FILE).read_bytes())
+        docs = expected["instances"] if group == "instances" else expected["vim"][group]
+        doc = docs.pop({"first": 0, "middle": len(docs) // 2, "last": -1}[position])
+        before, after = self.save_after(root, group, doc[key])
+        assert json.loads(after) == expected
+        assert after == _laid_out_in_lines(expected)
+        gone = _document_lines(before) - _document_lines(after)
+        assert len(gone) == 1 and json.loads(gone.pop()) == doc
+        assert _document_lines(after) < _document_lines(before)  # every other line as it was
+
+    def test_delete_the_only_line_then_add_one_to_the_empty_group(self, tmp_path):
+        root = save_peered_store(tmp_path / "s", count=1).root
+        pristine = (root / STATE_FILE).read_bytes()
+        instance = Store(root).load().instances["ns-1"]
+        expected = json.loads(pristine)
+        expected["instances"] = []
+        before, after = self.save_after(root, "instances", "ns-1")
+        assert json.loads(after) == expected
+        assert after == _laid_out_in_lines(expected)
+        assert _document_lines(before) - _document_lines(after) == _document_lines(pristine.split(b"\n")[1])
+        before, after = self.save_after(root, "instances", "ns-1", instance)
+        assert after == pristine  # the added line, in the group it left empty
+        assert _document_lines(after) - _document_lines(before) == _document_lines(pristine.split(b"\n")[1])
+
+
 class TestInterruptedSave:
     def test_torn_catalog_write_leaves_no_torn_descriptor(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
