@@ -13,9 +13,11 @@ SECURITY MODEL, READ BEFORE REUSE: sessions are derived from the static-
 static X25519 shared secret (HKDF with direction labels) and sealed with
 ChaCha20-Poly1305 under a 64-bit send counter. There is no handshake, no
 ephemeral rekeying, and therefore NO forward secrecy; the wire format is NOT
-WireGuard-compatible. Replay protection is a high-watermark counter, which
-rejects out-of-order delivery as replay. Fit for the simulated/loopback
-transports in this package, not for hostile networks.
+WireGuard-compatible. Replay protection is a high-watermark counter per
+session, which rejects out-of-order delivery as replay. A session (keys,
+send counter, watermark) outlives its peer entry, so deleting and
+re-adding a peer neither reuses a nonce nor reopens replay. Fit for the
+simulated/loopback transports in this package, not for hostile networks.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class AuthFailure(CryptokeyError):
 
 
 class ReplayRejected(CryptokeyError):
-    """Counter at or below the peer's receive high watermark."""
+    """Counter at or below the session's receive high watermark, which
+    outlives the peer entry (a re-added peer keeps it)."""
 
 
 class SourceAddressViolation(CryptokeyError):
@@ -247,7 +250,17 @@ class PeerEntry:
     public_key: bytes
     allowed_ips: list[ipaddress.IPv4Network]
     endpoint: Endpoint | None = None
-    rx_counter_high_watermark: int = 0
+
+
+@dataclass(slots=True)
+class Session:
+    """Datapath state with one remote static key: the last sent counter, the
+    receive high watermark, and the send and receive keys, derived on first
+    use; bytes, not ChaCha20Poly1305 objects, which hold ~2.7 KB natively each."""
+    tx: int = 0
+    rx: int = 0
+    send_key: bytes | None = None
+    recv_key: bytes | None = None
 
 
 def parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
@@ -267,7 +280,10 @@ def parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
 
 
 class CryptokeyRoutingTable:
-    """One gateway interface's cryptokey state: local keypair, peers, counters."""
+    """One gateway interface's cryptokey state: local keypair, peers (routing
+    only) and sessions. A session outlives its peer entry: its keys are static
+    per key pair, so a re-added peer must continue both the send counter (no
+    nonce reuse) and the receive watermark (no replay)."""
 
     def __init__(self, local_keypair: KeyPair, listen_endpoint: Endpoint | None = None,
                  tunnel_address: str | None = None):
@@ -280,9 +296,8 @@ class CryptokeyRoutingTable:
         self.listen_endpoint = listen_endpoint
         self.tunnel_address = tunnel_address
         self.peers: dict[bytes, PeerEntry] = {}
-        self.tx_counters: dict[bytes, int] = {}
+        self.sessions: dict[bytes, Session] = {}
         self._prefixes = PrefixTable()
-        self._sessions: dict[bytes, tuple[bytes, bytes]] = {}
 
     @property
     def public_key(self) -> bytes:
@@ -323,10 +338,6 @@ class CryptokeyRoutingTable:
             raise UnknownPeer(f"no peer {key_to_base64(key)}")
         for network in entry.allowed_ips:
             self._prefixes.remove(network)
-        # tx_counters intentionally survive deletion: session keys are static
-        # per key pair, so restarting the counter after a re-add would reuse
-        # AEAD nonces under the same key
-        self._sessions.pop(key, None)
 
     def lookup_by_ip(self, ip) -> bytes:
         """Public key owning the longest allowed prefix containing ip."""
@@ -348,27 +359,18 @@ class CryptokeyRoutingTable:
 
     # -- datapath --
 
-    def _session_keys(self, peer_key: bytes) -> tuple[bytes, bytes]:
-        """(send_key, recv_key) for this peer, derived once per static pair."""
-        cached = self._sessions.get(peer_key)
-        if cached is not None:
-            return cached
-        shared = dh(self.local_keypair.private, peer_key)
-        lo, hi = sorted((self.public_key, peer_key))
-        pair = lo + hi
-
-        def derive(label: bytes) -> bytes:
-            return HKDF(algorithm=hashes.SHA256(), length=32, salt=_KDF_SALT,
-                        info=label + pair).derive(shared)
-
-        key_lo_to_hi = derive(_LABEL_LO_TO_HI)
-        key_hi_to_lo = derive(_LABEL_HI_TO_LO)
-        if self.public_key == lo:
-            keys = (key_lo_to_hi, key_hi_to_lo)
-        else:
-            keys = (key_hi_to_lo, key_lo_to_hi)
-        self._sessions[peer_key] = keys
-        return keys
+    def _session(self, peer_key: bytes) -> Session:
+        """The session with this peer; its keys are derived on first use."""
+        session = self.sessions.get(peer_key) or self.sessions.setdefault(peer_key, Session())
+        if session.send_key is None:
+            shared = dh(self.local_keypair.private, peer_key)
+            lo, hi = sorted((self.public_key, peer_key))
+            labels = ((_LABEL_LO_TO_HI, _LABEL_HI_TO_LO) if lo == self.public_key
+                      else (_LABEL_HI_TO_LO, _LABEL_LO_TO_HI))
+            session.send_key, session.recv_key = (
+                HKDF(algorithm=hashes.SHA256(), length=32, salt=_KDF_SALT,
+                     info=label + lo + hi).derive(shared) for label in labels)
+        return session
 
     @staticmethod
     def _nonce(counter: int) -> bytes:
@@ -386,11 +388,10 @@ class CryptokeyRoutingTable:
         entry = self.peers[peer_key]
         if entry.endpoint is None:
             raise NoEndpoint(f"peer {key_to_base64(peer_key)} has no known endpoint")
-        counter = self.tx_counters.get(peer_key, 0) + 1
-        self.tx_counters[peer_key] = counter
-        send_key, _ = self._session_keys(peer_key)
+        session = self._session(peer_key)
+        session.tx = counter = session.tx + 1
         aad = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, peer_key[:8], self.public_key, counter)
-        ciphertext = ChaCha20Poly1305(send_key).encrypt(self._nonce(counter), packet.pack(), aad)
+        ciphertext = ChaCha20Poly1305(session.send_key).encrypt(self._nonce(counter), packet.pack(), aad)
         envelope = EncryptedEnvelope(
             receiver_key_id=peer_key[:8],
             sender_public_key=self.public_key,
@@ -403,7 +404,7 @@ class CryptokeyRoutingTable:
         """Authenticate and open an envelope.
 
         Acceptance requires, in order: a known sender key, passing AEAD
-        authentication, a counter above the peer's high watermark, and an
+        authentication, a counter above the session's high watermark, and an
         inner source IP whose longest-prefix owner is the sender. Only then
         is the watermark advanced and the peer's endpoint updated to
         outer_src (roaming); rejected traffic never mutates the table.
@@ -414,15 +415,14 @@ class CryptokeyRoutingTable:
             raise UnknownPeer(f"no peer {key_to_base64(sender)}")
         if envelope.receiver_key_id != self.public_key[:8]:
             raise AuthFailure("envelope is not addressed to this interface")
-        _, recv_key = self._session_keys(sender)
+        session = self._session(sender)
         try:
-            plaintext = ChaCha20Poly1305(recv_key).decrypt(
+            plaintext = ChaCha20Poly1305(session.recv_key).decrypt(
                 self._nonce(envelope.counter), envelope.ciphertext, envelope.header())
         except InvalidTag as exc:
             raise AuthFailure("AEAD authentication failed") from exc
-        if envelope.counter <= entry.rx_counter_high_watermark:
-            raise ReplayRejected(
-                f"counter {envelope.counter} <= watermark {entry.rx_counter_high_watermark}")
+        if envelope.counter <= session.rx:
+            raise ReplayRejected(f"counter {envelope.counter} <= watermark {session.rx}")
         packet = PlainPacket.unpack(plaintext)
         try:
             source_owner = self.lookup_by_ip(packet.src_ip)
@@ -431,6 +431,6 @@ class CryptokeyRoutingTable:
         if source_owner != sender:
             raise SourceAddressViolation(
                 f"inner source {packet.src_ip} does not resolve to the sender's key")
-        entry.rx_counter_high_watermark = envelope.counter
+        session.rx = envelope.counter
         entry.endpoint = outer_src
         return packet

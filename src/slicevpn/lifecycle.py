@@ -48,9 +48,10 @@ DEFAULT_LISTEN_PORT = 51820
 DEFAULT_LISTEN_INTERFACE = "tunnel"
 DEFAULT_TUNNEL_PREFIX = "10.100.0."  # + member index, per gateway
 
+# one spelling per index (ASCII, no leading zero), the one Day-1 looks values up by
 _PARAM_KEY_RE = re.compile(
-    r"^member\.(?P<member>\d+)\.(?P<key>tunnel-address|listen-port|listen-interface|key-seed)$")
-_SLICE_PARAM_KEY_RE = re.compile(r"^ns\.(?P<pos>\d+)\.(?P<rest>.+)$")
+    r"^member\.(?P<member>[1-9][0-9]*)\.(?P<key>tunnel-address|listen-port|listen-interface|key-seed)$")
+_SLICE_PARAM_KEY_RE = re.compile(r"^ns\.(?P<pos>[1-9][0-9]*)\.(?P<rest>.+)$")
 
 TENANT_OPERATIONS = frozenset({"ns_action", "ns_show"})
 

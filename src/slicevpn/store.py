@@ -45,7 +45,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, generate_keypair
+from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, Session, generate_keypair
 from slicevpn.descriptors import (Descriptor, DescriptorError, PrimitiveParam, PrimitiveSpec,
                                   parse_descriptor, serialize_descriptor)
 from slicevpn.errors import SliceVpnError
@@ -117,13 +117,12 @@ def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
         "private-key-hex": table.local_keypair.private.hex(),
         "listen-endpoint": _endpoint(table.listen_endpoint),
         "tunnel-address": table.tunnel_address,
-        "tx-counters": {table_key.hex(): count for table_key, count in table.tx_counters.items()},
+        "sessions": {key.hex(): [session.tx, session.rx] for key, session in table.sessions.items()},
         "peers": [
             {
                 "public-key-hex": entry.public_key.hex(),
                 "allowed-ips": [str(n) for n in entry.allowed_ips],
                 "endpoint": _endpoint(entry.endpoint),
-                "rx-watermark": entry.rx_counter_high_watermark,
             }
             for entry in table.peers.values()
         ],
@@ -144,8 +143,13 @@ def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
             # a peer may own no prefixes after exact-prefix reassignment
             table.peers[key] = PeerEntry(public_key=key, allowed_ips=[],
                                          endpoint=_unendpoint(peer["endpoint"]))
-        table.peers[key].rx_counter_high_watermark = peer["rx-watermark"]
-    table.tx_counters = {bytes.fromhex(k): v for k, v in doc["tx-counters"].items()}
+    sessions = doc.get("sessions")
+    if sessions is None:  # an older store: "tx-counters" plus each peer's "rx-watermark"
+        sessions = {key: [tx, 0] for key, tx in doc["tx-counters"].items()}
+        for peer in doc["peers"]:
+            sessions.setdefault(peer["public-key-hex"], [0, 0])[1] = peer["rx-watermark"]
+    # a session whose peer was deleted is kept, so a re-added peer rejects old envelopes
+    table.sessions = {bytes.fromhex(key): Session(tx, rx) for key, (tx, rx) in sessions.items()}
     return table
 
 

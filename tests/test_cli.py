@@ -244,6 +244,31 @@ class TestInputFiles:
         assert err.startswith("error: schema error at /kind: unknown kind") and err.count("\n") == 1
 
 
+class TestDay1Keys:
+    """A Day-1 param key names a member or NS index in one spelling: ASCII
+    digits, no leading zero, the spelling Day-1 looks the value up by."""
+
+    @pytest.mark.parametrize("index", ["01", "１", "٣"])
+    @pytest.mark.parametrize("command,target,template,error", [
+        ("ns-create", "wg-vpn", "member.{}.key-seed", "unknown instantiation param"),
+        ("slice-create", "vpn-slice", "ns.{}.member.1.key-seed", "unknown slice param"),
+    ])
+    def test_only_the_canonical_index_is_accepted(self, tmp_path, command, target, template, error, index):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        before = (tmp_path / "s" / "state.json").read_bytes()
+        config = tmp_path / "config.yaml"
+        key = template.format(index)
+        config.write_text(f'"{key}": "{WEST_SEED_HEX}"\n', encoding="utf-8")
+        status, out, err = run_cli("--store", store, command, target, "--config", str(config))
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {error} {key!r}") and err.count("\n") == 1, err
+        assert (tmp_path / "s" / "state.json").read_bytes() == before
+        config.write_text(f'"{template.format(1)}": "{WEST_SEED_HEX}"\n', encoding="utf-8")
+        assert run_cli("--store", store, command, target, "--config", str(config))[0] == 0
+        status, out, _ = run_cli("--store", store, "ns-action", "ns-2", "1", "get-public-key")
+        assert status == 0 and WEST_PUB in out  # the seed was read, not replaced by a random key
+
+
 class TestTokens:
     @pytest.mark.parametrize("id_", ['"a/b"', '"x\\ny"'])
     def test_onboard_of_a_non_token_id_writes_nothing(self, tmp_path, id_):
@@ -408,7 +433,7 @@ class TestBench:
 def _tx_counters(root: Path) -> list[int]:
     """Each gateway's sent-packet counters, summed over its peers, as saved."""
     state = json.loads((root / "state.json").read_bytes())
-    return [sum(record["table"]["tx-counters"].values())
+    return [sum(tx for tx, _ in record["table"]["sessions"].values())
             for instance in state["instances"] for record in instance["vnf-records"]
             if record["table"] is not None]
 

@@ -359,7 +359,7 @@ class TestReceive:
         with pytest.raises(AuthFailure):
             east.receive(bad, Endpoint("203.0.113.9", 9))
         assert east.endpoint_of(west.public_key) == before
-        assert east.peers[west.public_key].rx_counter_high_watermark == 0
+        assert east.sessions[west.public_key].rx == 0
 
     def test_unknown_sender(self):
         west, east = make_pair()
@@ -377,6 +377,23 @@ class TestReceive:
         east.receive(envelope, Endpoint("192.168.100.1", 51820))
         with pytest.raises(ReplayRejected):
             east.receive(envelope, Endpoint("192.168.100.1", 51820))
+
+    def test_captured_envelopes_stay_rejected_after_del_and_re_add(self):
+        # the replay watermark lives in the session, which outlives the peer entry
+        west, east = make_pair()
+        home, spoofed = Endpoint("192.168.100.1", 51820), Endpoint("203.0.113.9", 9)
+        captured = [west.send(PlainPacket("10.100.0.1", "10.100.0.2", bytes([i])))[0] for i in range(3)]
+        for envelope in captured:
+            east.receive(envelope, home)
+        east.del_peer(west.public_key)
+        east.add_peer(west.public_key, ["10.100.0.1/32", "10.0.1.0/24"], home)
+        for envelope in captured:
+            for outer in (home, spoofed):
+                with pytest.raises(ReplayRejected):
+                    east.receive(envelope, outer)
+        assert east.endpoint_of(west.public_key) == home
+        fresh, _ = west.send(PlainPacket("10.100.0.1", "10.100.0.2", b"fresh"))
+        assert east.receive(fresh, home).payload == b"fresh"
 
     def test_source_address_violation(self):
         west, east = make_pair()

@@ -335,10 +335,9 @@ class TestNsAction:
         table = orch.instances[instance_id].record(1).table
 
         def snapshot():
-            return ({key: (list(e.allowed_ips), e.endpoint, e.rx_counter_high_watermark)
-                     for key, e in table.peers.items()},
+            return ({key: (list(e.allowed_ips), e.endpoint) for key, e in table.peers.items()},
                     {length: dict(prefixes) for length, prefixes in table._prefixes._by_length.items()},
-                    dict(table.tx_counters))
+                    {key: (s.tx, s.rx) for key, s in table.sessions.items()})
 
         before = snapshot()
         ghost = generate_keypair(b"\x0e" * 32).public_b64

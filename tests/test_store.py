@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import create_vpn_instance, make_orchestrator, peer_gateways, sample_text, save_peered_store
-from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
+from conftest import (EAST_PEER_PARAMS, create_vpn_instance, make_orchestrator, peer_gateways, sample_text,
+                      save_peered_store)
+from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected, generate_keypair
 from slicevpn.descriptors import parse_descriptor, serialize_descriptor
-from slicevpn.lifecycle import Actor
+from slicevpn.lifecycle import ADMIN, Actor
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
 from slicevpn.transport import Endpoint
 
@@ -95,6 +96,79 @@ class TestRoundTrip:
         west2 = reloaded.instances[instance_id].record(1)
         fresh, _ = west2.table.send(PlainPacket("10.100.0.1", "10.100.0.2", b"new"))
         assert fresh.counter == envelope.counter + 1
+
+    def test_captured_envelopes_stay_rejected_after_del_peer_save_load_and_add_peer(self, tmp_path):
+        # a del-peer and a later add-peer are separate commands, with a save between them
+        orch = make_orchestrator()
+        instance_id = create_vpn_instance(orch)
+        peer_gateways(orch, instance_id)
+        instance = orch.instances[instance_id]
+        west, east = instance.record(1).table, instance.record(2).table
+        home, spoofed = Endpoint("192.168.100.1", 51820), Endpoint("203.0.113.9", 9)
+        captured = [west.send(PlainPacket("10.100.0.1", "10.100.0.2", bytes([i])))[0] for i in range(3)]
+        for envelope in captured:
+            east.receive(envelope, home)
+        west_key = {"public-key": west.public_key_b64}
+        assert orch.ns_action(ADMIN, instance_id, 2, "del-peer", west_key).status == "ok"
+        store = Store(tmp_path / "s")
+        store.save(orch)
+        reloaded = store.load()
+        result = reloaded.ns_action(ADMIN, instance_id, 2, "add-peer", {**west_key, **EAST_PEER_PARAMS})
+        assert result.status == "ok"
+        east2 = reloaded.instances[instance_id].record(2).table
+        for envelope in captured:
+            for outer in (home, spoofed):
+                with pytest.raises(ReplayRejected):
+                    east2.receive(envelope, outer)
+        assert east2.endpoint_of(west.public_key) == home
+
+    def test_a_store_with_tx_counters_and_rx_watermarks_still_loads(self, tmp_path):
+        # the table layout before sessions: "tx-counters" plus each peer's "rx-watermark"
+        orch = make_orchestrator()
+        instance_id = create_vpn_instance(orch)
+        peer_gateways(orch, instance_id)
+        instance = orch.instances[instance_id]
+        west, east = instance.record(1).table, instance.record(2).table
+        home = Endpoint("192.168.100.1", 51820)
+        gone = generate_keypair(b"\x0f" * 32).public
+        west.add_peer(gone, ["10.9.0.0/24"], Endpoint("192.168.100.9", 51820))
+        west.send(PlainPacket("10.100.0.1", "10.9.0.1", b"x"))
+        west.del_peer(gone)  # a send counter with no peer entry
+        for payload in (b"a", b"b"):
+            accepted, _ = west.send(PlainPacket("10.100.0.1", "10.100.0.2", payload))
+            east.receive(accepted, home)
+        reply, _ = east.send(PlainPacket("10.100.0.2", "10.100.0.1", b"c"))
+        west.receive(reply, Endpoint("192.168.100.2", 51820))
+        store = Store(tmp_path / "s")
+        store.save(orch)
+        path = tmp_path / "s" / STATE_FILE
+        state = json.loads(path.read_bytes())
+        expected = {}
+        for index, record in enumerate(state["instances"][0]["vnf-records"]):
+            if record["table"] is not None:
+                sessions = expected[index] = record["table"].pop("sessions")
+                record["table"]["tx-counters"] = {key: tx for key, (tx, _) in sessions.items()}
+                for peer in record["table"]["peers"]:
+                    peer["rx-watermark"] = sessions[peer["public-key-hex"]][1]
+        assert sorted(expected) == [0, 1] and all(tx and rx for tx, rx in expected[1].values())
+        path.write_bytes(_laid_out_in_lines(state))
+
+        reloaded = store.load()
+        records = reloaded.instances[instance_id].vnf_records
+        for index, sessions in expected.items():
+            table = records[index].table
+            assert {key.hex(): [s.tx, s.rx] for key, s in table.sessions.items()} == sessions
+            assert all(s.send_key is None for s in table.sessions.values())  # a load derives nothing
+        with pytest.raises(ReplayRejected):
+            records[1].table.receive(accepted, home)
+        fresh, _ = records[0].table.send(PlainPacket("10.100.0.1", "10.100.0.2", b"d"))
+        assert fresh.counter == accepted.counter + 1
+        store.save(reloaded)
+        tables = [r["table"] for r in json.loads(path.read_bytes())["instances"][0]["vnf-records"]
+                  if r["table"] is not None]
+        assert len(tables) == 2
+        assert all("sessions" in t and "tx-counters" not in t for t in tables)
+        assert not any("rx-watermark" in peer for t in tables for peer in t["peers"])
 
     def test_ids_continue_after_reload(self, tmp_path):
         store = build_and_save(tmp_path / "s")
