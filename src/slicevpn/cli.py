@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--store", default=DEFAULT_STORE, help="state directory (default: %(default)s)")
     parser.add_argument("--as", dest="actor", default="admin", help="acting identity (default: admin)")
-    parser.add_argument("--backend", choices=("mem", "udp"), default="mem",
-                        help="transport backend for this invocation (default: mem)")
     parser.add_argument("--json", action="store_true", help="machine output, one JSON record per line")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kpi", help="report service-creation KPIs for an instance")
     p.add_argument("instance")
 
-    p = sub.add_parser("bench", help="run a benchmark through the live tunnel")
+    p = sub.add_parser("bench", help="benchmark the live tunnel over loopback UDP")
     p.add_argument("instance")
     p.add_argument("kind", choices=("throughput", "latency"))
     p.add_argument("--duration", type=float, default=10.0, help="throughput run seconds")
@@ -280,15 +278,10 @@ def cmd_slice_create(orch, args) -> int:
     return 0
 
 
-def _emit_report(args, record):
-    """A KPI or benchmark report: its text, or its machine record as JSON."""
-    rep = report(record)
-    _emit(args, dict(line.split("=", 1) for line in rep.machine.splitlines()), rep.text)
-
-
 def cmd_kpi(orch, args) -> int:
     instance = orch.ns_show(orch.actor(args.actor), args.instance)
-    _emit_report(args, measure_kpis(instance))
+    rep = report(measure_kpis(instance))
+    _emit(args, rep.fields, rep.text)
     return 0
 
 
@@ -300,7 +293,8 @@ def cmd_bench(orch, args) -> int:
         result = run_throughput(pair, args.duration, args.payload_size)
     else:
         result = run_latency(pair, args.requests, args.timeout)
-    _emit_report(args, result)
+    rep = report(result)
+    _emit(args, rep.fields, rep.text)
     return 0
 
 
@@ -322,8 +316,8 @@ _MUTATING = {"onboard", "ns-create", "ns-action", "ns-delete", "slice-create", "
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     store = Store(args.store)
-    # mem passes None so the restored clock drives the backend
-    backend = UdpBackend() if args.backend == "udp" else None
+    # bench measures the tunnel over loopback UDP; None runs in memory on the restored clock
+    backend = UdpBackend() if args.command == "bench" else None
     out = io.StringIO()  # written once the store is saved
     try:
         with store.lock():

@@ -299,7 +299,7 @@ def run_throughput(pair: TunnelPair, duration_s: float = 10.0,
 
 class Report(NamedTuple):
     text: str
-    machine: str  # line-delimited key=value
+    fields: dict[str, str]  # the --json record
 
 
 def _fmt_ms(value: float) -> str:
@@ -307,8 +307,8 @@ def _fmt_ms(value: float) -> str:
 
 
 def report(record: KpiRecord | BenchResult) -> Report:
-    """Human text plus a line-delimited key=value machine record, with a
-    stable field order; byte-identical across runs for equal records."""
+    """Human text plus the machine record's string fields, in a stable
+    order; equal records give equal reports."""
     if isinstance(record, KpiRecord):
         lines = [
             "service creation KPIs",
@@ -316,15 +316,15 @@ def report(record: KpiRecord | BenchResult) -> Report:
             f"  DPD: {format_seconds(record.dpd_s)} s",
             f"  total: {format_seconds(record.total_s)} s",
         ]
-        machine = [
-            f"opd_s={format_seconds(record.opd_s)}",
-            f"dpd_s={format_seconds(record.dpd_s)}",
-            f"total_s={format_seconds(record.total_s)}",
-        ]
+        fields = {
+            "opd_s": format_seconds(record.opd_s),
+            "dpd_s": format_seconds(record.dpd_s),
+            "total_s": format_seconds(record.total_s),
+        }
         for name in sorted(record.per_action):
             lines.append(f"  action {name}: {format_seconds(record.per_action[name])} s")
-            machine.append(f"action.{name}={format_seconds(record.per_action[name])}")
-        return Report("\n".join(lines), "\n".join(machine))
+            fields[f"action.{name}"] = format_seconds(record.per_action[name])
+        return Report("\n".join(lines), fields)
     if isinstance(record, BenchResult):
         lines = [
             f"benchmark: {record.kind}",
@@ -340,20 +340,20 @@ def report(record: KpiRecord | BenchResult) -> Report:
             f"{_fmt_ms(record.latency_p50_ms)}/{_fmt_ms(record.latency_p90_ms)}/"
             f"{_fmt_ms(record.latency_p99_ms)} ms",
         ]
-        machine = [
-            f"kind={record.kind}",
-            f"samples={record.latency_count}",
-            f"timeouts={record.timeouts}",
-            f"bytes={record.bytes_transferred}",
-            f"duration_s={record.duration_s:.6f}",
-            f"throughput_bps={record.throughput_bps:.3f}",
-            f"latency_mean_ms={_fmt_ms(record.latency_mean_ms)}",
-            f"latency_min_ms={_fmt_ms(record.latency_min_ms)}",
-            f"latency_max_ms={_fmt_ms(record.latency_max_ms)}",
-            f"latency_stddev_ms={_fmt_ms(record.latency_stddev_ms)}",
-            f"latency_p50_ms={_fmt_ms(record.latency_p50_ms)}",
-            f"latency_p90_ms={_fmt_ms(record.latency_p90_ms)}",
-            f"latency_p99_ms={_fmt_ms(record.latency_p99_ms)}",
-        ]
-        return Report("\n".join(lines), "\n".join(machine))
+        fields = {
+            "kind": record.kind,
+            "samples": str(record.latency_count),
+            "timeouts": str(record.timeouts),
+            "bytes": str(record.bytes_transferred),
+            "duration_s": f"{record.duration_s:.6f}",
+            "throughput_bps": f"{record.throughput_bps:.3f}",
+            "latency_mean_ms": _fmt_ms(record.latency_mean_ms),
+            "latency_min_ms": _fmt_ms(record.latency_min_ms),
+            "latency_max_ms": _fmt_ms(record.latency_max_ms),
+            "latency_stddev_ms": _fmt_ms(record.latency_stddev_ms),
+            "latency_p50_ms": _fmt_ms(record.latency_p50_ms),
+            "latency_p90_ms": _fmt_ms(record.latency_p90_ms),
+            "latency_p99_ms": _fmt_ms(record.latency_p99_ms),
+        }
+        return Report("\n".join(lines), fields)
     raise KpiError(f"cannot report a {type(record).__name__}")

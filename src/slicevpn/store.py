@@ -24,8 +24,9 @@ catalog files before ``state.json``, so a save cut off midway leaves every
 file whole, old or new. A VNF record keeps the Day-2 primitives its VNFD
 declares, so ``ns-action`` reads no catalog file. A corrupt document line
 or catalog file fails only the commands that touch it (a line whose key
-cannot be read, only those that index the file), and ``--backend udp``
-binds only the touched instances' gateway sockets.
+cannot be read, only those that index the file), and ``bench`` binds
+only the touched instance's gateway sockets, on loopback UDP; the CLI
+closes them after the save.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -57,6 +58,7 @@ from slicevpn.lifecycle import (
     Orchestrator,
     SliceInstance,
     VnfRecord,
+    unbind_gateway,
 )
 from slicevpn.transport import Endpoint
 from slicevpn.vimsim import (
@@ -222,7 +224,8 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
 
 def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
     """The instance, with the gateways that were bound when it was saved
-    re-bound on `backend` once all of it has decoded."""
+    re-bound on `backend` once all of it has decoded. A bind that fails
+    closes those already bound, since the instance is then dropped."""
     records = [_record_from_doc(rdoc) for rdoc in doc["vnf-records"]]
     instance = NetworkServiceInstance(
         id=doc["id"],
@@ -235,9 +238,14 @@ def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
         events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
         vnf_records=[record for record, _ in records],
     )
-    for record, bound in records:
-        if bound and record.table is not None:
-            record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
+    try:
+        for record, bound in records:
+            if bound and record.table is not None:
+                record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
+    except BaseException:
+        for record in instance.vnf_records:
+            unbind_gateway(record)
+        raise
     return instance
 
 
@@ -480,10 +488,10 @@ class LazyDocuments(MutableMapping):
 
     A malformed document raises ``StoreError`` naming ``describe(key)``,
     never a ``KeyError``, which ``Mapping.get`` would report as a missing
-    entry. An error that is not the document's fault, such as an ``OSError``
-    from re-binding a gateway socket, passes through. The mapping holds its
-    documents and callables, never the orchestrator, so that dropping the
-    orchestrator frees the loaded documents without the cycle collector.
+    entry. An error that is not the document's fault, such as a bind's
+    ``TransportError``, passes through. The mapping holds its documents and
+    callables, never the orchestrator, so that dropping the orchestrator
+    frees the loaded documents without the cycle collector.
     """
 
     def __init__(self, loaded, decode: Callable, describe: Callable[[object], str]):

@@ -28,7 +28,7 @@ MAX_DATAGRAM = 65_507  # UDP payload over IPv4
 
 
 class TransportError(SliceVpnError):
-    """Bind conflicts, oversize sends, closed handles."""
+    """Bind conflicts and failures, oversize sends, closed handles."""
 
 
 def parse_decimal(text: str) -> int:
@@ -176,11 +176,17 @@ class UdpBackend:
         key = (scope, endpoint)
         if key in self._virtual_to_real:
             raise TransportError(f"endpoint {endpoint} already bound")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
-            sock.setsockopt(socket.SOL_SOCKET, opt, 1 << 20)  # capped by rmem_max
-        sock.bind(("127.0.0.1", 0))
-        real = sock.getsockname()
+        sock = None
+        try:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                sock.setsockopt(socket.SOL_SOCKET, opt, 1 << 20)  # capped by rmem_max
+            sock.bind(("127.0.0.1", 0))
+            real = sock.getsockname()
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
+            raise TransportError(f"cannot bind {endpoint} on loopback UDP: {exc.strerror or exc}") from exc
         self._virtual_to_real[key] = real
         self._real_to_virtual[real] = endpoint
         return Handle(self, endpoint, scope, sock)

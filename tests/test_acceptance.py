@@ -202,7 +202,7 @@ def test_criterion_7_end_to_end_cli_scenario(tmp_path):
         for argv in golden_session(store):
             status, _, err = run_cli(*argv)
             assert status == 0, f"{argv}: {err}"
-        status, out, err = run_cli("--store", store, "--backend", "udp", "--json",
+        status, out, err = run_cli("--store", store, "--json",
                                    "bench", "ns-1", "latency", "--requests", "1000")
         assert status == 0, err
         record = json.loads(out)

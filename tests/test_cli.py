@@ -4,11 +4,13 @@ Regenerate the golden transcript after an intentional output change with:
     python tests/test_cli.py --update-golden
 """
 
+import errno
 import gc
 import io
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -389,7 +391,7 @@ class TestLifecycleOverCli:
 class TestBench:
     def test_latency_over_chosen_members(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
-        status, out, err = run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency",
+        status, out, err = run_cli("--store", store, "bench", "ns-1", "latency",
                                    "--members", "2,1", "--requests", "20")
         assert status == 0, err
         assert "  samples: 20\n" in out
@@ -400,7 +402,7 @@ class TestBench:
     ])
     def test_bad_members(self, tmp_path, members, message):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
-        status, out, err = run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency",
+        status, out, err = run_cli("--store", store, "bench", "ns-1", "latency",
                                    "--members", members, "--requests", "20")
         assert (status, out, err) == (1, "", message)
 
@@ -412,22 +414,66 @@ class TestBench:
             assert (status, out) == (2, "")
             assert err.endswith(f"error: argument {option}: invalid int value: {count!r}\n")
         members = f"{count},2"
-        assert run_cli("--store", store, "--backend", "udp", "bench", "ns-1", "latency", "--members", members) \
+        assert run_cli("--store", store, "bench", "ns-1", "latency", "--members", members) \
             == (1, "", f"error: --members expects two indices like 1,2, got {members!r}\n")
 
-    def test_throughput_on_mem_is_refused(self, tmp_path):
+    def test_latency_is_measured_on_the_wall_clock(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
-        status, out, err = run_cli("--store", store, "bench", "ns-1", "throughput")
-        assert status == 1 and out == ""
-        assert err.startswith("error: ") and "needs a backend latency > 0" in err and err.count("\n") == 1
+        status, out, err = run_cli("--store", store, "--json", "bench", "ns-1", "latency",
+                                   "--requests", "20")
+        assert status == 0, err
+        record = json.loads(out)
+        assert record["samples"] == "20" and float(record["latency_p50_ms"]) > 0
 
     def test_throughput_over_udp(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
-        status, out, err = run_cli("--store", store, "--json", "--backend", "udp", "bench", "ns-1",
+        status, out, err = run_cli("--store", store, "--json", "bench", "ns-1",
                                    "throughput", "--duration", "0.2")
         assert status == 0, err
         record = json.loads(out)
         assert record["kind"] == "throughput" and int(record["bytes"]) > 0
+
+    def test_backend_is_no_option(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        status, out, err = run_cli("--store", store, "--backend", "udp", "kpi", "ns-1")
+        assert (status, out) == (2, "") and "usage: slicevpn" in err
+
+    def test_no_other_command_opens_a_socket(self, tmp_path, monkeypatch):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+
+        def no_socket(*args, **kwargs):
+            raise OSError("this command must not open a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["ns-action", "ns-1", "1", "get-public-key"],
+                     ["ns-create", "wg-vpn"], ["ns-delete", "ns-1"]):
+            status, _, err = run_cli("--store", store, *argv)
+            assert status == 0, (argv, err)
+
+    def test_a_bind_failure_is_one_error_line_and_leaks_no_socket(self, tmp_path, monkeypatch):
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = (root / "state.json").read_bytes()
+        opened = []
+
+        class SecondBindFails(socket.socket):
+            def bind(self, address):
+                opened.append(self)
+                if len(opened) == 2:
+                    raise OSError(errno.EADDRINUSE, os.strerror(errno.EADDRINUSE))
+                super().bind(address)
+
+        monkeypatch.setattr(socket, "socket", SecondBindFails)
+        try:
+            status, out, err = run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "20")
+            leaked = [sock for sock in opened if sock.fileno() != -1]
+        finally:
+            for sock in opened:
+                sock.close()
+        assert (status, out) == (1, "")
+        assert err.startswith("error: cannot bind ") and err.endswith(": Address already in use\n")
+        assert err.count("\n") == 1
+        assert len(opened) == 2 and leaked == []
+        assert (root / "state.json").read_bytes() == before
 
 
 def _tx_counters(root: Path) -> list[int]:

@@ -193,12 +193,12 @@ class TestReport:
         assert "OPD: 159 s" in rep.text
         assert "DPD: 107 s" in rep.text
         assert "total: 266 s" in rep.text
-        assert rep.machine.splitlines() == ["opd_s=159", "dpd_s=107", "total_s=266"]
+        assert list(rep.fields.items()) == [("opd_s", "159"), ("dpd_s", "107"), ("total_s", "266")]
 
     def test_empty_bench(self):
         rep = report(BenchResult(kind="latency", bytes_transferred=0, duration_s=0.0))
         assert "samples: 0" in rep.text
-        assert "throughput_bps=0.000" in rep.machine
+        assert rep.fields["throughput_bps"] == "0.000"
 
     def test_latency_percentiles(self):
         result = BenchResult.from_latency_samples([float(ms) for ms in range(1, 101)], 0, 1600, 1.0)
@@ -211,7 +211,7 @@ class TestReport:
 
     def test_bench_report_field_order(self):
         rep = report(BenchResult.from_latency_samples([1.0, 2.0, 4.0], 0, 48, 0.01))
-        assert [line.split("=")[0] for line in rep.machine.splitlines()] == [
+        assert list(rep.fields) == [
             "kind", "samples", "timeouts", "bytes", "duration_s", "throughput_bps",
             "latency_mean_ms", "latency_min_ms", "latency_max_ms", "latency_stddev_ms",
             "latency_p50_ms", "latency_p90_ms", "latency_p99_ms",
