@@ -515,13 +515,18 @@ def parse_nst(source: str | dict) -> NstDescriptor:
 _PARSERS = {"vnfd": parse_vnfd, "nsd": parse_nsd, "nst": parse_nst}
 
 
-def parse_descriptor(text: str) -> Descriptor:
-    """Parse any descriptor document, dispatching on its ``kind``."""
-    doc = _require_mapping(load_strict_yaml(text), "/")
+def descriptor_from_doc(doc) -> Descriptor:
+    """Check any loaded descriptor document, dispatching on its ``kind``."""
+    doc = _require_mapping(doc, "/")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _PARSERS:  # a list or mapping is unhashable
         raise DescriptorSchemaError("/kind", f"unknown kind {kind!r}, expected one of {sorted(_PARSERS)}")
     return _PARSERS[kind](doc)
+
+
+def parse_descriptor(text: str) -> Descriptor:
+    """Parse any descriptor document: its text loaded, then checked by ``descriptor_from_doc``."""
+    return descriptor_from_doc(load_strict_yaml(text))
 
 
 # --- serialization ------------------------------------------------------------

@@ -16,9 +16,16 @@ file's ends; a document stays in the loaded bytes, and a catalog file
 unparsed, until a command looks it up (``LazyDocuments``), and a lookup finds
 its line by key with one backward search. Only a lookup that misses, or
 listing documents, indexes the whole file: ``ns-create`` does, ``ns-delete``
-does not. Every save splices the re-encoded touched lines into the loaded
-bytes, drops deleted ones and appends added ones to their group, and writes
-a catalog file only for a descriptor onboarded since loading.
+does not. A document joined onto another's line (the newline between them
+removed) shows when that line is found, or when a lookup misses, and the
+file is then laid out in lines. Every save splices the re-encoded touched
+lines into the loaded bytes, drops deleted ones and appends added ones to
+their group, and writes a catalog file only for a descriptor onboarded since
+loading, with its compiled form beside it (``{kind}-{id}.json``: the file's
+text and the document checked from it). A catalog file whose text is its
+compiled form's is read by checking that document, with no YAML parse; with
+no such form, or a stale, unreadable or malformed one, the text is parsed.
+The compiled form is trusted like ``state.json``.
 Each file is written under a temporary name and renamed over the old one,
 catalog files before ``state.json``, so a save cut off midway leaves every
 file whole, old or new. A VNF record keeps the Day-2 primitives its VNFD
@@ -48,7 +55,7 @@ from typing import NamedTuple
 
 from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, Session, generate_keypair
 from slicevpn.descriptors import (Descriptor, DescriptorError, PrimitiveParam, PrimitiveSpec,
-                                  parse_descriptor, serialize_descriptor)
+                                  descriptor_from_doc, parse_descriptor, serialize_descriptor)
 from slicevpn.errors import SliceVpnError
 from slicevpn.lifecycle import (
     Actor,
@@ -338,7 +345,8 @@ class _StateFile:
     """A loaded ``state.json`` in the line layout: its bytes, its global
     fields, each group's byte range, and where each line found by key lies.
     A file is laid out in lines as it loads if it is in another layout, and
-    when indexing finds a line of it out of the layout."""
+    when indexing finds a line of it out of the layout, or a lookup finds a
+    document joined onto another's line (``_joined``)."""
 
     def __init__(self, data: bytes, path: Path | None = None):
         self.path = path
@@ -366,6 +374,7 @@ class _StateFile:
         self.bounds = list(zip(opening, closing))  # per group: its first line's \n to its closing line's \n
         self.spans = ({}, {}, {})  # per group: key -> (start, end) of each line found by key
         self.indexed = opening == closing[:3]  # whether the spans hold every line, as in a file of none
+        self.unchecked = {0, 1, 2}  # the groups not searched whole for a joined document
         return True
 
     def _relayout(self, data: bytes):
@@ -376,32 +385,56 @@ class _StateFile:
         skeleton = _skeleton({**state, "instances": [0], "vim": {**state["vim"], "networks": [1], "vdus": [2]}})
         if not (self._read(b"\n".join(skeleton)) and self._read(b"".join(self.splice(skeleton, groups)))):
             raise ValueError("its global fields hide where its lists are")
+        self.unchecked = set()
+
+    def _joined(self, group: int, start: int, end: int) -> bool:
+        """Whether a document of `group` is joined onto a line between `start`
+        and `end`: its key prefix after a comma. A group searched whole, or a
+        file laid out here, is not searched again."""
+        if group not in self.unchecked:
+            return False
+        if (start, end) == self.bounds[group]:
+            self.unchecked.discard(group)
+        return self.data.find(b"," + _PREFIXES[group], start, end) >= 0
+
+    def _laid_out(self):
+        """Lay the loaded bytes out in lines again and index them; bytes that
+        are not one state are corrupt."""
+        try:
+            self._relayout(self.data)
+            self.spans, self.indexed = _index(self.data, self.bounds), True
+        except _DECODE_ERRORS as exc:
+            raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
 
     def find(self, group: int, key) -> bytes | None:
-        """The line of `group` under `key`: the last to start with the group's key
-        prefix and `key`, found with one backward search, or else the index's."""
+        """The line of `group` under `key`. A document joined onto the line
+        found, or onto any line of the group when none is, has the file laid
+        out in lines first, so that a save keeps it and a lookup finds it."""
+        span = self._span(group, key)
+        if self._joined(group, *(span or self.bounds[group])):
+            self._laid_out()
+            span = self._span(group, key)
+        return None if span is None else self.data[span[0]:span[1]]
+
+    def _span(self, group: int, key) -> tuple[int, int] | None:
+        """Where the line of `group` under `key` lies: the last to start with the
+        group's key prefix and `key`, found with one backward search, or else the index's."""
         if not self.indexed:
             lo, hi = self.bounds[group]
             needle = b"\n" + _PREFIXES[group][:-1] + _encode(key)
             at = self.data.rfind(needle, lo, hi)
             if at >= 0 and self.data[at + len(needle)] in b",}":
                 self.spans[group][key] = (at + 1, _line_end(self.data, self.data.find(b"\n", at + 1)))
-        span = self.spans[group].get(key) or self.all_spans(group).get(key)
-        return None if span is None else self.data[span[0]:span[1]]
+        return self.spans[group].get(key) or self.all_spans(group).get(key)
 
     def all_spans(self, group: int) -> dict:
         """The (start, end) of every line of `group`, by key: the whole file indexed,
         once, and laid out in lines first if a line is out of the layout."""
         if not self.indexed:
             try:
-                try:
-                    spans = _index(self.data, self.bounds)
-                except ValueError:
-                    self._relayout(self.data)
-                    spans = _index(self.data, self.bounds)
-            except _DECODE_ERRORS as exc:
-                raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
-            self.spans, self.indexed = spans, True
+                self.spans, self.indexed = _index(self.data, self.bounds), True
+            except ValueError:
+                self._laid_out()
         return self.spans[group]
 
     def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple]]) -> list:
@@ -411,7 +444,7 @@ class _StateFile:
         drops the one under `key`. Every other line stays as loaded."""
         for group, changes in enumerate(groups):  # a key set unread may still have a line
             for key in [key for key, _ in changes if key not in self.spans[group]]:
-                self.find(group, key)
+                self._span(group, key)
         data, view = self.data, memoryview(self.data)
         out = [skeleton[0]]
         for (lo, hi), spans, changes, closing in zip(self.bounds, self.spans, groups, skeleton[1:]):
@@ -456,6 +489,17 @@ def _skeleton(state: dict) -> tuple[bytes, ...]:
 
 def _catalog_name(kind: str, id_: str) -> str:
     return f"{kind}-{id_}.yaml"
+
+
+def _compiled(text: str, doc) -> bytes | None:
+    """The compiled form of a catalog file holding `text`, which parses to
+    `doc`: both as one JSON document. None if `doc` does not come back from
+    JSON as it was (a YAML date, a non-string key or an infinity)."""
+    try:
+        encoded = json.dumps({"yaml": text, "doc": doc}, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError):
+        return None
+    return encoded.encode("ascii") if json.loads(encoded)["doc"] == doc else None
 
 
 def _write_atomic(path: Path, pieces: Iterable[bytes]):
@@ -600,7 +644,11 @@ class Store:
         for (kind, id_), descriptor in loaded(entries):
             name = _catalog_name(kind, id_)
             if self._catalog_files.get(name) != descriptor:
-                _write_atomic(catalog_dir / name, [serialize_descriptor(descriptor).encode("utf-8")])
+                text = serialize_descriptor(descriptor)
+                _write_atomic(catalog_dir / name, [text.encode("utf-8")])
+                compiled = _compiled(text, descriptor.doc)
+                if compiled is not None:  # after its YAML file: a form compiled from other text is unused
+                    _write_atomic((catalog_dir / name).with_suffix(".json"), [compiled])
                 self._catalog_files[name] = descriptor
         groups = [(orch.instances, lambda i: _line(_instance_to_doc(i), "id")),
                   (orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
@@ -652,8 +700,21 @@ class Store:
                                               lambda key: f"catalog file {paths[key]}")
 
     def _read_descriptor(self, path: Path) -> Descriptor:
-        descriptor = parse_descriptor(path.read_text(encoding="utf-8"))
-        if _catalog_name(descriptor.kind, descriptor.id) != path.name:
-            raise ValueError(f"it holds {descriptor.kind} {descriptor.id!r}")
-        self._catalog_files[path.name] = descriptor
+        descriptor = self._catalog_files[path.name] = _read_catalog_file(path)
         return descriptor
+
+
+def _read_catalog_file(path: Path) -> Descriptor:
+    """The descriptor in catalog file `path`, checked from its compiled form
+    if that was compiled from the file's exact text, else parsed from the text."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        compiled = json.loads(path.with_suffix(".json").read_bytes())
+        descriptor = descriptor_from_doc(compiled["doc"]) if compiled["yaml"] == text else None
+    except (OSError, *_DECODE_ERRORS):  # none, unreadable or malformed: the text decides
+        descriptor = None
+    if descriptor is None:
+        descriptor = parse_descriptor(text)
+    if _catalog_name(descriptor.kind, descriptor.id) != path.name:
+        raise ValueError(f"it holds {descriptor.kind} {descriptor.id!r}")
+    return descriptor

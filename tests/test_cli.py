@@ -7,6 +7,7 @@ Regenerate the golden transcript after an intentional output change with:
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import shutil
@@ -352,9 +353,9 @@ class TestJsonMode:
 
 
 def _catalog_files(root: Path) -> dict[Path, tuple[bytes, int]]:
-    """Each catalog file's bytes and mtime, after setting every mtime to a
-    fixed past value, so that a rewrite shows even within the clock's tick."""
-    files = sorted((root / "catalog").glob("*.yaml"))
+    """Each catalog file's and compiled form's bytes and mtime, after setting every
+    mtime to a fixed past value, so that a rewrite shows even within the clock's tick."""
+    files = sorted([*(root / "catalog").glob("*.yaml"), *(root / "catalog").glob("*.json")])
     for path in files:
         os.utime(path, ns=(1_000_000_000, 1_000_000_000))
     return {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
@@ -373,7 +374,7 @@ class TestLifecycleOverCli:
         store = tmp_path / "s"
         run_golden_session(str(store))
         before = _catalog_files(store)
-        assert len(before) == 3
+        assert len(before) == 6  # three catalog files and their compiled forms
         status, _, _ = run_cli("--store", str(store), "ns-action", "ns-1", "1", "get-public-key")
         assert status == 0
         assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in before} == before
@@ -514,6 +515,16 @@ class TestProcessHygiene:
         result = subprocess.run([sys.executable, "-c", code, store], capture_output=True, text=True,
                                 env=env, timeout=60)
         assert (result.returncode, result.stderr) == (0, "[False, False, False, False]\n")
+
+    def test_ns_create_from_compiled_catalog_files_imports_neither_yaml_nor_hashlib(self, tmp_path):
+        store = str(save_peered_store(tmp_path / "s", count=1).root)
+        code = ("import sys, slicevpn.cli\n"
+                "assert slicevpn.cli.main(['--store', sys.argv[1], 'ns-create', 'wg-vpn']) == 0\n"
+                "print(sorted({'yaml', 'hashlib'} & set(sys.modules)), file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", code, store], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "created ns-2 (state Running)\n", "[]\n")
 
     def test_a_command_leaves_no_cyclic_garbage(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
@@ -662,7 +673,7 @@ class TestOlderStores:
         files = _catalog_files(root)
         for argv in (["ns-create", "wg-vpn"], ["ns-action", "ns-2", "1", "get-public-key"],
                      ["onboard", str(SAMPLES / "vnfd-test-host.yaml")],
-                     ["validate", *(str(path) for path in files)]):
+                     ["validate", *(str(path) for path in files if path.suffix == ".yaml")]):
             status, out, err = run_cli("--store", str(root), *argv)
             assert status == 0, (argv, err)
         assert out == "ok\n"
@@ -716,13 +727,13 @@ class TestDecodeOnDemand:
     def test_kpi_decodes_only_its_instance(self, tmp_path, monkeypatch):
         save_peered_store(tmp_path / "s")
         instances = _spy(monkeypatch, "_instance_from_doc")
-        parsed = _spy(monkeypatch, "parse_descriptor")
+        read = _spy(monkeypatch, "_read_catalog_file")
         networks = _spy(monkeypatch, "_network_from_doc")
         vdus = _spy(monkeypatch, "_vdu_from_doc")
         status, out, _ = run_cli("--store", str(tmp_path / "s"), "kpi", "ns-2")
         assert status == 0 and "total: 266 s" in out
         assert [doc["id"] for doc in instances] == ["ns-2"]
-        assert parsed == [] and networks == [] and vdus == []
+        assert read == [] and networks == [] and vdus == []
 
     def test_kpi_parses_only_the_skeleton_and_its_instance_line(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
@@ -748,13 +759,13 @@ class TestDecodeOnDemand:
         ns2 = _instance_documents(tmp_path / "s")["ns-2"]
         networks = _spy(monkeypatch, "_network_from_doc")
         vdus = _spy(monkeypatch, "_vdu_from_doc")
-        parsed = _spy(monkeypatch, "parse_descriptor")
+        read = _spy(monkeypatch, "_read_catalog_file")
         status, out, _ = run_cli("--store", str(tmp_path / "s"), "ns-show", "ns-2")
         assert status == 0 and "  network ns-2.tunnel 192.168.100.0/24 allocations=2" in out
         assert [doc["name"] for doc in networks] == sorted(ns2["networks"].values())
         assert [doc["id"] for doc in vdus] == sorted(
             v for record in ns2["vnf-records"] for v in record["vdu-ids"])
-        assert parsed == []
+        assert read == []
 
     def test_day2_write_leaves_vim_and_catalog_as_loaded(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
@@ -777,7 +788,7 @@ class TestDecodeOnDemand:
         # an action's primitives come from the instance's VNF record, not the catalog
         root = tmp_path / "s"
         save_peered_store(root)
-        parsed = _spy(monkeypatch, "parse_descriptor")
+        read = _spy(monkeypatch, "_read_catalog_file")
         looked_up = []
         get = Catalog.get
         monkeypatch.setattr(Catalog, "get", lambda catalog, *key: looked_up.append(key) or get(catalog, *key))
@@ -789,7 +800,7 @@ class TestDecodeOnDemand:
                       "--param", "endpoint=192.168.100.2:51820"]):
             status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", *argv)
             assert (status, err) == (0, ""), argv
-        assert parsed == [] and looked_up == []
+        assert read == [] and looked_up == []
 
     @pytest.mark.parametrize("argv, error", [
         (["reboot"], "action 'reboot' is not declared by vnfd 'wg-gw' config-primitives"),
@@ -800,10 +811,10 @@ class TestDecodeOnDemand:
     def test_refused_day2_requests_keep_their_error_text(self, tmp_path, monkeypatch, argv, error):
         root = tmp_path / "s"
         save_peered_store(root, count=1)
-        parsed = _spy(monkeypatch, "parse_descriptor")
+        read = _spy(monkeypatch, "_read_catalog_file")
         before = (root / "state.json").read_bytes()
         assert run_cli("--store", str(root), "ns-action", "ns-1", "1", *argv) == (1, "", f"error: {error}\n")
-        assert parsed == []
+        assert read == []
         assert (root / "state.json").read_bytes() == before  # refused before anything runs or is saved
 
     def test_record_from_an_older_store_copies_its_primitives_once(self, tmp_path, monkeypatch):
@@ -815,11 +826,13 @@ class TestDecodeOnDemand:
             for record in instance["vnf-records"]:
                 del record["config-primitives"]
         (root / "state.json").write_text(json.dumps(state))
+        read = _spy(monkeypatch, "_read_catalog_file")
         parsed = _spy(monkeypatch, "parse_descriptor")
         for _ in range(2):
             status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key")
             assert status == 0 and "public-key: " in out, err
-            assert parsed == [(root / "catalog" / "vnfd-wg-gw.yaml").read_text()]  # the first call's
+            assert read == [root / "catalog" / "vnfd-wg-gw.yaml"]  # the first call's
+            assert parsed == []  # from its compiled form: no YAML parse
             documents = _instance_documents(root)
             assert documents["ns-2"]["vnf-records"][0]["config-primitives"] == fresh
             assert "config-primitives" not in documents["ns-1"]["vnf-records"][0]
@@ -845,16 +858,15 @@ class TestDecodeOnDemand:
         catalog = root / "catalog"
         (catalog / "vnfd-spare.yaml").write_text(
             (catalog / "vnfd-test-host.yaml").read_text().replace("id: test-host", "id: spare"))
-        parsed = _spy(monkeypatch, "parse_descriptor")
+        read = _spy(monkeypatch, "_read_catalog_file")
         status, _, _ = run_cli("--store", str(root), "onboard", str(SAMPLES / "nsd-consumer.yaml"))
         assert status == 0
-        assert parsed == [(catalog / "vnfd-test-host.yaml").read_text()]
+        assert read == [catalog / "vnfd-test-host.yaml"]
         run_cli("--store", str(root), "onboard", str(SAMPLES / "nst-vpn-slice.yaml"))
-        parsed.clear()
+        read.clear()
         status, _, _ = run_cli("--store", str(root), "slice-create", "vpn-slice")
         assert status == 0
-        assert sorted(parsed) == sorted(path.read_text() for path in catalog.glob("*.yaml")
-                                        if path.name != "vnfd-spare.yaml")
+        assert sorted(read) == sorted(path for path in catalog.glob("*.yaml") if path.name != "vnfd-spare.yaml")
 
     def test_validate_and_ns_show_output_is_unchanged(self, tmp_path):
         # recorded from the store that decoded everything on load
@@ -1002,6 +1014,38 @@ class TestSpliceMatchesWholeParse:
                 assert (lines / "state.json").read_bytes() == (before if after == indented else after), argv
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(commands=_COMMANDS, joins=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=8))
+    def test_joined_document_lines_read_as_a_store_parsed_whole(self, peered_template, commands, joins):
+        """A store in which two adjacent document lines are joined into one
+        before every command (the file is still one JSON document), and its
+        re-indented twin, answer alike and save the same value."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for seed in range(1, 5):
+                (tmp / f"config-{seed}.yaml").write_text(
+                    f'member.1.key-seed: "{f"{seed:02x}" * 32}"\n'
+                    f'member.2.key-seed: "{f"{seed + 8:02x}" * 32}"\n', encoding="utf-8")
+            joined, whole = tmp / "joined", tmp / "whole"
+            for root in (joined, whole):
+                shutil.copytree(peered_template, root)
+            for command, join in zip(commands, itertools.cycle(joins)):
+                argv = _argv(*command, tmp)
+                data = (joined / "state.json").read_bytes()
+                between = [at for at in range(1, len(data) - 2)  # the newlines between two document lines
+                           if data[at] == ord("\n") and data[at - 1] == ord(",") and data[at + 1:at + 3] == b'{"']
+                if between:
+                    at = between[join % len(between)]
+                    (joined / "state.json").write_bytes(data[:at] + data[at + 1:])
+                (whole / "state.json").write_bytes(
+                    json.dumps(json.loads((whole / "state.json").read_bytes()), indent=2).encode())
+                results = [tuple(str(part).replace(str(root), "<store>")
+                                 for part in run_cli("--store", str(root), *argv)) for root in (joined, whole)]
+                assert results[0] == results[1], argv
+                assert json.loads((joined / "state.json").read_bytes()) == \
+                    json.loads((whole / "state.json").read_bytes()), argv
+
+
 def _corrupt_vim(root: Path, section: str, key: str, entry_id: str, corrupt):
     state = json.loads((root / "state.json").read_text())
     corrupt(next(doc for doc in state["vim"][section] if doc[key] == entry_id))
@@ -1091,10 +1135,18 @@ class TestFailureScope:
             err = self.assert_fails(root, "ns-show", "ns-3", prefix="state file")
             assert "vdu ns-3.m1.gw" in err
 
-    def test_corrupt_catalog_file(self, tmp_path):
+    @pytest.mark.parametrize("compiled", ["stale", "corrupt", "deleted"])
+    def test_corrupt_catalog_file(self, tmp_path, compiled):
         root = tmp_path / "s"
         save_peered_store(root)
         gateway = root / "catalog" / "vnfd-wg-gw.yaml"
+        form = gateway.with_suffix(".json")
+        if compiled == "corrupt":
+            form.write_text("{")
+        elif compiled == "deleted":
+            form.unlink()
+        stale = form.read_bytes() if form.exists() else None
+        errors = []
         for text in ("kind: vnfd\nid: [\n", "kind: vnfd\nid: wg-gw\n"):  # syntax, schema
             gateway.write_text(text)
             self.assert_works(root, "kpi", "ns-1")
@@ -1104,7 +1156,15 @@ class TestFailureScope:
             for argv in (["ns-create", "wg-vpn"], ["validate", str(SAMPLES / "nsd-consumer.yaml")]):
                 err = self.assert_fails(root, *argv, prefix="catalog file")
                 assert str(gateway) in err
+                errors.append(err)
             assert gateway.read_text() == text
+            assert (form.read_bytes() if form.exists() else None) == stale  # no command writes one
+        # the same lines as with no compiled form at all
+        form.unlink(missing_ok=True)
+        for text in ("kind: vnfd\nid: [\n", "kind: vnfd\nid: wg-gw\n"):
+            gateway.write_text(text)
+            for argv in (["ns-create", "wg-vpn"], ["validate", str(SAMPLES / "nsd-consumer.yaml")]):
+                assert run_cli("--store", str(root), *argv) == (1, "", errors.pop(0))
 
     def test_corrupt_unrelated_catalog_file(self, tmp_path):
         root = tmp_path / "s"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicevpn.descriptors import (
+    PARAM_TYPES,
     Catalog,
     DescriptorError,
     DescriptorSchemaError,
@@ -489,3 +490,30 @@ def test_nsd_round_trip_property(doc):
     text = serialize_descriptor(nsd)
     assert parse_descriptor(text) == nsd
     assert yaml.safe_load(text) == doc
+
+
+_free_text = st.text(min_size=1, max_size=16)  # display names, references, descriptions
+
+
+@st.composite
+def vnfd_docs(draw):
+    interfaces = draw(st.lists(_name, min_size=1, max_size=3, unique=True))
+    vdu = {
+        "name": draw(_name),
+        "image": draw(st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=16)),
+        "interfaces": [{"name": name, "network": draw(_free_text)} for name in interfaces],
+    }
+    if draw(st.booleans()):
+        vdu["cloud-init-packages"] = draw(st.lists(_free_text, max_size=2))
+    if draw(st.booleans()):
+        vdu["requires-forwarding"] = draw(st.booleans())
+    doc = {"kind": "vnfd", "schema-version": 1, "id": draw(_name), "name": draw(_free_text),
+           "mgmt-interface": draw(st.sampled_from(interfaces)), "vdus": [vdu]}
+    primitives = [
+        {"name": f"action-{i}", "description": draw(_free_text),
+         "params": [{"name": name, "type": draw(st.sampled_from(PARAM_TYPES))}
+                    for name in draw(st.lists(_name, max_size=2, unique=True))]}
+        for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    if primitives:
+        doc["config-primitives"] = primitives
+    return doc

@@ -1,21 +1,29 @@
+import dataclasses
+import datetime
 import errno
 import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (EAST_PEER_PARAMS, create_vpn_instance, make_orchestrator, peer_gateways, sample_text,
                       save_peered_store)
+from slicevpn import store as store_module
 from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected, generate_keypair
-from slicevpn.descriptors import parse_descriptor, serialize_descriptor
-from slicevpn.lifecycle import ADMIN, Actor
+from slicevpn.descriptors import descriptor_from_doc, parse_descriptor, serialize_descriptor
+from slicevpn.lifecycle import ADMIN, Actor, Orchestrator
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
 from slicevpn.transport import Endpoint
+from test_descriptors import nsd_docs, vnfd_docs
 
 
 def build_and_save(root) -> Store:
@@ -399,6 +407,51 @@ class TestInterruptedSave:
         orch.onboard_package(gateway)  # re-onboarding the same file
         store.save(orch)
         assert Store(root).load().catalog.get("vnfd", "wg-gw") == gateway
+
+
+class TestCompiledCatalog:
+    """Each catalog file written for an onboarded descriptor gets a compiled
+    form beside it, ``{kind}-{id}.json``: the file's text and its checked
+    document. A read whose text matches checks the document without a YAML parse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.one_of(nsd_docs(), vnfd_docs()))
+    def test_compiled_and_yaml_reads_give_equal_descriptors(self, doc):
+        onboarded = descriptor_from_doc(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            orch = Orchestrator()
+            orch.catalog.add(onboarded)
+            Store(tmp).save(orch)
+            path = Path(tmp) / "catalog" / f"{onboarded.kind}-{onboarded.id}.yaml"
+            with mock.patch.object(store_module, "parse_descriptor", side_effect=AssertionError("parsed")):
+                compiled = store_module._read_catalog_file(path)
+            path.with_suffix(".json").unlink()
+            parsed = store_module._read_catalog_file(path)
+        assert compiled == parsed == onboarded
+        assert compiled.doc == parsed.doc == doc
+
+    @pytest.mark.parametrize("value", [datetime.date(2020, 1, 1), {1: "one"}, float("inf"), float("nan")])
+    def test_a_document_json_cannot_carry_gets_no_compiled_form(self, tmp_path, value):
+        gateway = parse_descriptor(sample_text("vnfd-wireguard-gateway.yaml"))
+        text = serialize_descriptor(gateway)
+        assert json.loads(store_module._compiled(text, gateway.doc)) == {"yaml": text, "doc": gateway.doc}
+        odd = dataclasses.replace(gateway, doc={**gateway.doc, "name": value})
+        assert store_module._compiled(serialize_descriptor(odd), odd.doc) is None
+        orch = Orchestrator()
+        orch.catalog.add(odd)
+        Store(tmp_path).save(orch)
+        assert sorted(path.name for path in (tmp_path / "catalog").iterdir()) == ["vnfd-wg-gw.yaml"]
+
+    def test_onboarding_writes_the_catalog_file_then_its_compiled_form(self, tmp_path, monkeypatch):
+        store = Store(tmp_path)
+        orch = store.load()
+        orch.onboard_package(parse_descriptor(sample_text("vnfd-wireguard-gateway.yaml")))
+        replaced = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(Path(dst).name) or replace(src, dst))
+        store.save(orch)
+        store.save(orch)  # the catalog is unchanged: nothing but the state is written again
+        assert replaced == ["vnfd-wg-gw.yaml", "vnfd-wg-gw.json", STATE_FILE, STATE_FILE]
 
 
 class TestLocking:
