@@ -14,26 +14,27 @@ file in another JSON layout, or holding ``\\r``, is laid out in lines as it
 loads (``_StateFile``). Loading parses only the skeleton, found from the
 file's ends; a document stays in the loaded bytes, and a catalog file
 unparsed, until a command looks it up (``LazyDocuments``), and a lookup finds
-its line by key with one backward search. Only a lookup that misses, or
-listing documents, indexes the whole file: ``ns-create`` does, ``ns-delete``
-does not. A document joined onto another's line (the newline between them
-removed) shows when that line is found, or when a lookup misses, and the
-file is then laid out in lines. Every save splices the re-encoded touched
-lines into the loaded bytes, drops deleted ones and appends added ones to
-their group, and writes a catalog file only for a descriptor onboarded since
-loading, with its compiled form beside it (``{kind}-{id}.json``: the file's
-text and the document checked from it). A catalog file whose text is its
-compiled form's is read by checking that document, with no YAML parse; with
-no such form, or a stale, unreadable or malformed one, the text is parsed.
-The compiled form is trusted like ``state.json``.
-Each file is written under a temporary name and renamed over the old one,
-catalog files before ``state.json``, so a save cut off midway leaves every
-file whole, old or new. A VNF record keeps the Day-2 primitives its VNFD
-declares, so ``ns-action`` reads no catalog file. A corrupt document line
-or catalog file fails only the commands that touch it (a line whose key
-cannot be read, only those that index the file), and ``bench`` binds
-only the touched instance's gateway sockets, on loopback UDP; the CLI
-closes them after the save.
+its line by key with one backward search. Only a lookup that misses
+indexes the whole file: ``ns-create`` does, ``ns-delete`` does not. A
+document joined onto another's line (the newline between them removed)
+shows in the lookup's own parse, as data after a document, or when a key
+that starts no line has its text in its group; the file is then laid out
+in lines, as it is before a group is listed. Every save splices the
+re-encoded touched lines into the loaded bytes, drops deleted ones and
+appends added ones to their group, and writes a catalog file only for a
+descriptor onboarded since loading, with its compiled form beside it
+(``{kind}-{id}.json``: the file's text and the document checked from it).
+A catalog file whose text is its compiled form's is read by checking that
+document, with no YAML parse; with no such form, or a stale, unreadable or
+malformed one, the text is parsed. The compiled form is trusted like
+``state.json``. Each file is written under a temporary name and renamed
+over the old one, catalog files before ``state.json``, so a save cut off
+midway leaves every file whole, old or new. A VNF record keeps the Day-2
+primitives its VNFD declares, so ``ns-action`` reads no catalog file. A
+corrupt document line or catalog file fails only the commands that touch
+it (a line whose key cannot be read, only those that index the file), and
+``bench`` binds only the touched instance's gateway sockets, on loopback
+UDP; the CLI closes them after the save.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -345,8 +346,8 @@ class _StateFile:
     """A loaded ``state.json`` in the line layout: its bytes, its global
     fields, each group's byte range, and where each line found by key lies.
     A file is laid out in lines as it loads if it is in another layout, and
-    when indexing finds a line of it out of the layout, or a lookup finds a
-    document joined onto another's line (``_joined``)."""
+    at most once more (``relaid``) if a line is out of the layout, a document
+    is joined onto another's line (``find``, ``locate``) or a group is listed."""
 
     def __init__(self, data: bytes, path: Path | None = None):
         self.path = path
@@ -374,68 +375,66 @@ class _StateFile:
         self.bounds = list(zip(opening, closing))  # per group: its first line's \n to its closing line's \n
         self.spans = ({}, {}, {})  # per group: key -> (start, end) of each line found by key
         self.indexed = opening == closing[:3]  # whether the spans hold every line, as in a file of none
-        self.unchecked = {0, 1, 2}  # the groups not searched whole for a joined document
+        self.relaid = False  # whether these bytes were laid out here: then every document has its line, indexed
         return True
 
     def _relayout(self, data: bytes):
-        """Take `data`, a whole state in any JSON layout, laid out in lines:
-        its documents spliced into its empty skeleton."""
+        """Take `data`, a whole state in any JSON layout, laid out in lines
+        (its documents spliced into its empty skeleton) and indexed."""
         state = json.loads(data)
         groups = [[(doc[key], _line(doc, key)) for doc in docs] for docs, key in zip(_lists(state), _KEYS)]
         skeleton = _skeleton({**state, "instances": [0], "vim": {**state["vim"], "networks": [1], "vdus": [2]}})
         if not (self._read(b"\n".join(skeleton)) and self._read(b"".join(self.splice(skeleton, groups)))):
             raise ValueError("its global fields hide where its lists are")
-        self.unchecked = set()
-
-    def _joined(self, group: int, start: int, end: int) -> bool:
-        """Whether a document of `group` is joined onto a line between `start`
-        and `end`: its key prefix after a comma. A group searched whole, or a
-        file laid out here, is not searched again."""
-        if group not in self.unchecked:
-            return False
-        if (start, end) == self.bounds[group]:
-            self.unchecked.discard(group)
-        return self.data.find(b"," + _PREFIXES[group], start, end) >= 0
+        self.spans, self.indexed, self.relaid = _index(self.data, self.bounds), True, True
 
     def _laid_out(self):
-        """Lay the loaded bytes out in lines again and index them; bytes that
-        are not one state are corrupt."""
+        """Lay the loaded bytes out in lines again; bytes that are not one
+        state are corrupt."""
         try:
             self._relayout(self.data)
-            self.spans, self.indexed = _index(self.data, self.bounds), True
         except _DECODE_ERRORS as exc:
             raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
 
-    def find(self, group: int, key) -> bytes | None:
-        """The line of `group` under `key`. A document joined onto the line
-        found, or onto any line of the group when none is, has the file laid
-        out in lines first, so that a save keeps it and a lookup finds it."""
+    def find(self, group: int, key) -> dict | None:
+        """The document of `group` under `key`, parsed from its line. Data after
+        it shows a joined document: the file is laid out in lines and read again."""
+        span = self.locate(group, key)
+        try:
+            return None if span is None else json.loads(self.data[span[0]:span[1]])
+        except json.JSONDecodeError as exc:
+            if self.relaid or exc.msg != "Extra data":
+                raise
+        self._laid_out()
+        return self.find(group, key)
+
+    def locate(self, group: int, key) -> tuple[int, int] | None:
+        """Where the line of `group` under `key` lies, found with no parse. A key
+        no line starts with, but whose text (``"id":"ns-2"``) is in the group, is
+        on another's line: the file is laid out in lines and looked up again."""
         span = self._span(group, key)
-        if self._joined(group, *(span or self.bounds[group])):
+        if span is None and not self.relaid and \
+                self.data.find(_PREFIXES[group][1:-1] + _encode(key), *self.bounds[group]) >= 0:
             self._laid_out()
             span = self._span(group, key)
-        return None if span is None else self.data[span[0]:span[1]]
+        return span
 
     def _span(self, group: int, key) -> tuple[int, int] | None:
-        """Where the line of `group` under `key` lies: the last to start with the
-        group's key prefix and `key`, found with one backward search, or else the index's."""
+        """Where the line of `group` under `key` lies: the last to start with its
+        prefix and `key`, found with one backward search, or else the index's (the
+        whole file indexed once, laid out first if a line is out of the layout)."""
         if not self.indexed:
             lo, hi = self.bounds[group]
             needle = b"\n" + _PREFIXES[group][:-1] + _encode(key)
             at = self.data.rfind(needle, lo, hi)
             if at >= 0 and self.data[at + len(needle)] in b",}":
                 self.spans[group][key] = (at + 1, _line_end(self.data, self.data.find(b"\n", at + 1)))
-        return self.spans[group].get(key) or self.all_spans(group).get(key)
-
-    def all_spans(self, group: int) -> dict:
-        """The (start, end) of every line of `group`, by key: the whole file indexed,
-        once, and laid out in lines first if a line is out of the layout."""
-        if not self.indexed:
-            try:
-                self.spans, self.indexed = _index(self.data, self.bounds), True
-            except ValueError:
-                self._laid_out()
-        return self.spans[group]
+            else:
+                try:
+                    self.spans, self.indexed = _index(self.data, self.bounds), True
+                except ValueError:
+                    self._laid_out()
+        return self.spans[group].get(key)
 
     def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple]]) -> list:
         """The pieces of the loaded bytes with `skeleton` in place of the skeleton
@@ -469,11 +468,16 @@ class _Group(NamedTuple):
     file: _StateFile
     group: int
 
-    def get(self, key) -> bytes | None:
+    def get(self, key) -> dict | None:
         return self.file.find(self.group, key)
 
+    def __contains__(self, key) -> bool:
+        return self.file.locate(self.group, key) is not None
+
     def keys(self):
-        return self.file.all_spans(self.group).keys()
+        if not self.file.relaid:  # so that a document joined onto another's line is listed
+            self.file._laid_out()
+        return self.file.spans[self.group].keys()
 
 
 def _skeleton(state: dict) -> tuple[bytes, ...]:
@@ -524,15 +528,15 @@ class LazyDocuments(MutableMapping):
     networks and VDUs, and the catalog in these, so a command decodes only
     what it touches.
 
-    ``loaded`` finds one loaded entry by key (``get``) and lists the loaded
-    keys in order (``keys``); the mapping lists them only when it is
+    ``loaded`` reads one loaded entry by key (``get``: a line's document,
+    parsed), tells whether it has one without reading it (``in``) and lists
+    the loaded keys in order (``keys``), which the mapping does only when
     iterated or sized. ``decoded`` holds each object decoded or set since
-    loading, ``deleted`` each key deleted since; an added key comes after
-    every loaded one.
+    loading, ``deleted`` each key deleted since; an added key comes last.
 
-    A malformed document raises ``StoreError`` naming ``describe(key)``,
-    never a ``KeyError``, which ``Mapping.get`` would report as a missing
-    entry. An error that is not the document's fault, such as a bind's
+    A malformed document, read or decoded, raises ``StoreError`` naming
+    ``describe(key)``, never a ``KeyError``, which ``Mapping.get`` would
+    report as a missing entry. An error that is not the document's fault, such as a bind's
     ``TransportError``, passes through. The mapping holds its documents and
     callables, never the orchestrator, so that dropping the orchestrator
     frees the loaded documents without the cycle collector.
@@ -548,15 +552,15 @@ class LazyDocuments(MutableMapping):
     def __getitem__(self, key):
         if key in self.decoded:
             return self.decoded[key]
-        entry = None if key in self.deleted else self.loaded.get(key)
-        if entry is None:
-            raise KeyError(key)
         try:
-            value = self._decode(entry)
+            entry = None if key in self.deleted else self.loaded.get(key)
+            if entry is not None:
+                self.decoded[key] = self._decode(entry)
         except _DECODE_ERRORS as exc:
             raise StoreError(f"corrupt {self._describe(key)}: {type(exc).__name__}: {exc}") from exc
-        self.decoded[key] = value
-        return value
+        if entry is None:
+            raise KeyError(key)
+        return self.decoded[key]
 
     def __setitem__(self, key, value):
         self.decoded[key] = value
@@ -569,7 +573,7 @@ class LazyDocuments(MutableMapping):
         self.deleted.add(key)
 
     def __contains__(self, key) -> bool:
-        return key in self.decoded or (key not in self.deleted and self.loaded.get(key) is not None)
+        return key in self.decoded or (key not in self.deleted and key in self.loaded)
 
     def __iter__(self):
         loaded = self.loaded.keys()
@@ -586,26 +590,21 @@ def loaded(entries: Mapping) -> list[tuple]:
     return list((entries.decoded if isinstance(entries, LazyDocuments) else entries).items())
 
 
-def _lazy(lines: _Group, decode: Callable, where: str) -> LazyDocuments:
-    """`lines`, each parsed and decoded on first read."""
-    return LazyDocuments(lines, lambda line: decode(json.loads(line)), lambda k: f"{where} {k}")
-
-
 def _orchestrator_from_doc(file: _StateFile, backend) -> Orchestrator:
     where = f"state file {file.path}:"
     state = file.state
     instances, networks, vdus = (_Group(file, group) for group in range(3))
     vim = Vim(SimClock(_unfrac(state["vim"]["clock"])))
-    vim._networks = _lazy(networks, _network_from_doc, f"{where} network")
-    vim._vdus = _lazy(vdus, _vdu_from_doc, f"{where} vdu")
+    vim._networks = LazyDocuments(networks, _network_from_doc, lambda k: f"{where} network {k}")
+    vim._vdus = LazyDocuments(vdus, _vdu_from_doc, lambda k: f"{where} vdu {k}")
     orch = Orchestrator(vim=vim, backend=backend)
     orch._next_ns = state["next-ns"]
     orch._next_slice = state["next-slice"]
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    orch.instances = _lazy(instances, functools.partial(_instance_from_doc, backend=orch.backend),
-                           f"{where} instance")
+    orch.instances = LazyDocuments(instances, functools.partial(_instance_from_doc, backend=orch.backend),
+                                   lambda k: f"{where} instance {k}")
     for sdoc in state.get("slices", []):
         orch.slices[sdoc["id"]] = SliceInstance(
             id=sdoc["id"], nst_id=sdoc["nst-id"],

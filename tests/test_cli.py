@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -270,6 +271,39 @@ class TestDay1Keys:
         assert run_cli("--store", store, command, target, "--config", str(config))[0] == 0
         status, out, _ = run_cli("--store", store, "ns-action", "ns-2", "1", "get-public-key")
         assert status == 0 and WEST_PUB in out  # the seed was read, not replaced by a random key
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.fixed_dictionaries({}, optional={
+        f"member.{member}.{key}": values for member in (1, 2) for key, values in (
+            ("key-seed", st.binary(min_size=32, max_size=32).map(bytes.hex)),
+            ("listen-port", st.integers(1, 65535).map(str)),
+            ("tunnel-address", st.ip_addresses(v=4).map(str)),
+            ("listen-interface", st.sampled_from(["tunnel", "data"])))}))
+    def test_each_accepted_value_shows_in_the_instance(self, peered_template, values):
+        """Each value of a Day-1 config file shows in the instance created with it:
+        a key seed in the public key, a listen port and the IP of the interface
+        listened on in the table's listen endpoint, a tunnel address in the table."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root, config = Path(tmp) / "s", Path(tmp) / "config.yaml"
+            shutil.copytree(peered_template, root)
+            config.write_text("".join(f'{key}: "{value}"\n' for key, value in values.items()), encoding="utf-8")
+            assert run_cli("--store", str(root), "ns-create", "wg-vpn", "--config", str(config)) == \
+                (0, "created ns-4 (state Running)\n", "")
+            state = json.loads((root / "state.json").read_text())
+            records = next(doc for doc in state["instances"] if doc["id"] == "ns-4")["vnf-records"]
+            vdus = {doc["id"]: doc for doc in state["vim"]["vdus"]}
+            for member in (1, 2):
+                chosen = {key.split(".")[2]: value for key, value in values.items()
+                          if key.startswith(f"member.{member}.")}
+                table = next(r for r in records if r["member-index"] == member)["table"]
+                ips = {name: ip for name, _, ip in vdus[f"ns-4.m{member}.gw"]["interfaces"]}
+                assert table["listen-endpoint"] == \
+                    f'{ips[chosen.get("listen-interface", "tunnel")]}:{chosen.get("listen-port", 51820)}'
+                assert table["tunnel-address"] == chosen.get("tunnel-address", f"10.100.0.{member}")
+                if "key-seed" in chosen:
+                    public = _public_key(run_cli("--store", str(root), "ns-action", "ns-4", str(member),
+                                                 "get-public-key"))
+                    assert public == generate_keypair(bytes.fromhex(chosen["key-seed"])).public_b64
 
 
 class TestTokens:
@@ -1015,11 +1049,16 @@ class TestSpliceMatchesWholeParse:
 
 
     @settings(max_examples=30, deadline=None)
-    @given(commands=_COMMANDS, joins=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=8))
-    def test_joined_document_lines_read_as_a_store_parsed_whole(self, peered_template, commands, joins):
+    @given(commands=_COMMANDS, joins=st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans()),
+                                              min_size=1, max_size=8),
+           blanks=st.text(" \t", max_size=3))
+    def test_joined_document_lines_read_as_a_store_parsed_whole(self, peered_template, commands, joins,
+                                                                blanks):
         """A store in which two adjacent document lines are joined into one
-        before every command (the file is still one JSON document), and its
-        re-indented twin, answer alike and save the same value."""
+        before every command, the second's first key moved last or not, and
+        `blanks` end each document line before a newline (the file is still one
+        JSON document), lists the same keys as a whole parse of it; it and its
+        re-indented twin answer alike and save the same value."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             for seed in range(1, 5):
@@ -1029,16 +1068,28 @@ class TestSpliceMatchesWholeParse:
             joined, whole = tmp / "joined", tmp / "whole"
             for root in (joined, whole):
                 shutil.copytree(peered_template, root)
-            for command, join in zip(commands, itertools.cycle(joins)):
+            for command, (join, key_last) in zip(commands, itertools.cycle(joins)):
                 argv = _argv(*command, tmp)
-                data = (joined / "state.json").read_bytes()
-                between = [at for at in range(1, len(data) - 2)  # the newlines between two document lines
-                           if data[at] == ord("\n") and data[at - 1] == ord(",") and data[at + 1:at + 3] == b'{"']
+                text = re.sub(r",([ \t]*)\n(?=\{\")", lambda m: f",{m[1]}{blanks}\n",
+                              (joined / "state.json").read_text())
+                # the newlines between two document lines
+                between = [m.end() - 1 for m in re.finditer(r",[ \t]*\n(?=\{\")", text)]
                 if between:
                     at = between[join % len(between)]
-                    (joined / "state.json").write_bytes(data[:at] + data[at + 1:])
+                    doc, end = json.JSONDecoder().raw_decode(text, at + 1)
+                    if key_last:
+                        first = next(iter(doc))
+                        doc[first] = doc.pop(first)
+                    text = text[:at] + json.dumps(doc, separators=(",", ":")) + text[end:]
+                (joined / "state.json").write_text(text)
                 (whole / "state.json").write_bytes(
                     json.dumps(json.loads((whole / "state.json").read_bytes()), indent=2).encode())
+                state = json.loads(text)
+                keys = [[doc["id"] for doc in state["instances"]], [doc["name"] for doc in state["vim"]["networks"]],
+                        [doc["id"] for doc in state["vim"]["vdus"]]]
+                for root in (joined, whole):
+                    orch = Store(root).load()
+                    assert [list(orch.instances), list(orch.vim._networks), list(orch.vim._vdus)] == keys
                 results = [tuple(str(part).replace(str(root), "<store>")
                                  for part in run_cli("--store", str(root), *argv)) for root in (joined, whole)]
                 assert results[0] == results[1], argv
@@ -1121,6 +1172,26 @@ class TestFailureScope:
             err = self.assert_fails(root, "ns-show", "ns-3", prefix="state file")
             assert "network ns-3.tunnel" in err
             self.assert_fails(root, "ns-delete", "ns-3", prefix="state file")
+
+    def test_membership_parses_no_line(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        path = root / "state.json"
+        line = next(line for line in path.read_bytes().split(b"\n") if line.startswith(b'{"name":"ns-3.tunnel",'))
+        path.write_bytes(path.read_bytes().replace(line, line[:len(line) // 2]))
+        vim = Store(root).load().vim
+        parsed = []
+        loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "loads", spy)
+        assert "ns-3.tunnel" in vim._networks and "ns-9.tunnel" not in vim._networks
+        assert parsed == []
+        with pytest.raises(store_module.StoreError, match="network ns-3.tunnel"):
+            vim.network("ns-3.tunnel")
 
     def test_corrupt_vim_vdu(self, tmp_path):
         root = tmp_path / "s"

@@ -121,6 +121,10 @@ class TestLatency:
         result = run_latency(pair, 1)
         assert result.latency_count == 1 and result.timeouts == 0
         assert result.latency_min_ms == float(2 * latency * 1000)
+        # a datagram A's table rejects, queued before the replies, costs that echo only
+        pair.b.handle.send(pair.a.table.listen_endpoint, b"not an envelope")
+        result = run_latency(pair, 2)
+        assert result.latency_count == 1 and result.timeouts == 1
 
     def test_unpeered_tunnel_raises_on_probe(self):
         orch = make_orchestrator()
@@ -159,6 +163,22 @@ class TestThroughput:
         result = run_throughput(pair, duration_s=0.2, payload_size=1024)
         assert result.duration_s >= 0.2
         assert result.bytes_transferred > 0
+
+    def test_a_window_that_delivers_nothing_ends_the_run(self):
+        latency = Fraction(1, 1000)
+        backend = InMemoryBackend(SimClock(), latency_s=latency)
+        _, pair = make_pair(backend=backend)
+        sent, send = [], backend.send_datagram
+
+        def lose_the_second_window(*args):  # after the probe's two datagrams, a window and its ack
+            sent.append(args)
+            if not 2 + _WINDOW + 1 < len(sent) <= 2 + 2 * _WINDOW + 1:
+                send(*args)
+
+        backend.send_datagram = lose_the_second_window
+        result = run_throughput(pair, duration_s=0.2, payload_size=1024)
+        assert result.bytes_transferred == _WINDOW * 1024 and result.duration_s == float(2 * latency)
+        assert len(sent) == 2 + 2 * _WINDOW + 1
 
     def test_sim_requires_latency(self):
         _, pair = make_pair(latency_s=0)

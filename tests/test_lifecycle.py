@@ -341,11 +341,14 @@ class TestNsAction:
 
         before = snapshot()
         ghost = generate_keypair(b"\x0e" * 32).public_b64
-        failing = (("del-peer", {"public-key": ghost}),
-                   ("add-peer", {"public-key": ghost, "allowed-ips": "10.9.0.0/24,10.9.1.1/24"}))
-        for action, params in failing:
+        failing = (("del-peer", {"public-key": ghost}, f"no peer {ghost}"),
+                   ("add-peer", {"public-key": ghost, "allowed-ips": "10.9.0.0/24,10.9.1.1/24"},
+                    "expected an IPv4 CIDR, got '10.9.1.1/24'"),
+                   ("del-peer", {}, "del-peer requires public-key"),
+                   ("add-peer", {"allowed-ips": "10.9.0.0/24"}, "add-peer requires public-key and allowed-ips"))
+        for action, params, message in failing:
             result = orch.ns_action(ADMIN, instance_id, 1, action, params)
-            assert result.status == "error", action
+            assert (result.status, result.message) == ("error", message), action
             assert snapshot() == before, action
         assert orch.instances[instance_id].state == "Running"
         result = orch.ns_action(ADMIN, instance_id, 1, "get-public-key")
@@ -356,21 +359,27 @@ class TestNsAction:
         assert table.lookup_by_ip("10.9.0.7") == generate_keypair(b"\x0e" * 32).public
 
     def test_stop_and_start_wg_toggle_binding(self, orch):
-        # a restartable gateway declares the toggles as Day-2 actions
-        toggling = parse_vnfd(
-            "kind: vnfd\nschema-version: 1\nid: toggle-gw\nname: t\n"
-            "mgmt-interface: tunnel\n"
-            "vdus:\n  - name: gw\n    image: ubuntu\n    interfaces:\n"
-            "      - name: tunnel\n        network: tunnel\n"
-            "initial-config-primitives:\n  - name: generate-keys\n"
-            "config-primitives:\n  - name: start-wg\n  - name: stop-wg\n")
-        orch.onboard_package(toggling)
-        orch.onboard_package(parse_descriptor(
-            "kind: nsd\nschema-version: 1\nid: toggle-ns\nname: t\n"
-            "vnf-members:\n  - member-index: 1\n    vnfd-id: toggle-gw\n"
-            "virtual-links:\n  - name: tunnel\n    cidr: 10.9.0.0/24\n"
-            "    attachments:\n      - member-index: 1\n        interface: tunnel\n"))
-        instance_id = orch.ns_create(ADMIN, "toggle-ns")
+        # a restartable gateway declares the toggles as Day-2 actions; one without
+        # generate-keys has no table for them to act on
+        for vnfd_id, initial in (("toggle-gw", "initial-config-primitives:\n  - name: generate-keys\n"),
+                                 ("keyless-gw", "")):
+            orch.onboard_package(parse_vnfd(
+                f"kind: vnfd\nschema-version: 1\nid: {vnfd_id}\nname: t\n"
+                "mgmt-interface: tunnel\n"
+                "vdus:\n  - name: gw\n    image: ubuntu\n    interfaces:\n"
+                "      - name: tunnel\n        network: tunnel\n"
+                f"{initial}config-primitives:\n  - name: start-wg\n  - name: stop-wg\n"))
+            orch.onboard_package(parse_descriptor(
+                f"kind: nsd\nschema-version: 1\nid: {vnfd_id}-ns\nname: t\n"
+                f"vnf-members:\n  - member-index: 1\n    vnfd-id: {vnfd_id}\n"
+                "virtual-links:\n  - name: tunnel\n    cidr: 10.9.0.0/24\n"
+                "    attachments:\n      - member-index: 1\n        interface: tunnel\n"))
+        keyless = orch.ns_create(ADMIN, "keyless-gw-ns")
+        for action in ("start-wg", "stop-wg"):
+            result = orch.ns_action(ADMIN, keyless, 1, action)
+            assert (result.status, result.message) == \
+                ("error", "member 1 is not a gateway (no cryptokey table)"), action
+        instance_id = orch.ns_create(ADMIN, "toggle-gw-ns")
         record = orch.instances[instance_id].record(1)
         assert record.handle is None  # start-wg was not an initial primitive here
         orch.ns_action(ADMIN, instance_id, 1, "start-wg")
