@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -38,6 +39,26 @@ def _int(text: str) -> int:
         return parse_decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _size(text: str) -> int:
+    """An ``_int`` of 1 or more."""
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid size value: {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """A finite number of seconds above 0: a socket takes no other timeout,
+    and a run of no other duration reports and ends."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"invalid seconds value: {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark the live tunnel over loopback UDP")
     p.add_argument("instance")
     p.add_argument("kind", choices=("throughput", "latency"))
-    p.add_argument("--duration", type=float, default=10.0, help="throughput run seconds")
+    p.add_argument("--duration", type=_seconds, default=10.0, help="throughput run seconds")
     p.add_argument("--requests", type=_int, default=1000, help="latency echo count")
-    p.add_argument("--payload-size", type=_int, default=8192)
-    p.add_argument("--timeout", type=float, default=2.0, help="per-echo deadline seconds")
+    p.add_argument("--payload-size", type=_size, default=8192)
+    p.add_argument("--timeout", type=_seconds, default=2.0, help="per-echo deadline seconds")
     p.add_argument("--members", help="gateway member pair, e.g. 1,2 (default: first two gateways)")
 
     return parser
@@ -325,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with redirect_stdout(out):
                     status = _COMMANDS[args.command](orch, args)
+            except BaseException:
+                # a bench cut short keeps the counters it sealed, or the next would seal them again
+                if args.command == "bench":
+                    store.save(orch)
+                raise
+            else:
                 if args.command in _MUTATING:
                     store.save(orch)
             finally:  # after the save, which records the gateways as bound

@@ -9,7 +9,9 @@ executes declared config primitives such as add-peer and del-peer against a
 running instance, after checking each param value with the parser the
 primitive runs on a value of its declared type (``PARAM_PARSERS``). Every
 step is stamped on the simulated clock and appended to the instance event
-log (sources NBI, RO, VCA), which is what the KPI module measures.
+log (sources NBI, RO, VCA), which is what the KPI module measures. An
+instance leaves ``ns_create`` Running or, if a Day-1 step failed, Failed;
+``ns_delete`` makes it Terminated unless it is Failed, which it stays.
 
 The control plane is serialized: one orchestrator processes one request at a
 time. RBAC: admins may do anything; tenants may only run ns_action/ns_show
@@ -174,16 +176,6 @@ class SliceInstance:
     networks: dict[str, str]  # slice link name -> vim network name
 
 
-_VALID_TRANSITIONS = {
-    "Created": {"DeployingInfra", "Failed"},
-    "DeployingInfra": {"ConfiguringDay1", "Failed"},
-    "ConfiguringDay1": {"Running", "Failed"},
-    "Running": {"Terminated"},  # a failed Day-2 action fails the action only
-    "Terminated": set(),
-    "Failed": set(),
-}
-
-
 def unbind_gateway(record: VnfRecord):
     """Close the gateway's transport handle, if it is bound. A record never
     keeps a closed handle, so ``record.handle is not None`` means bound."""
@@ -277,16 +269,6 @@ class Orchestrator:
         message = message.replace("\n", " ").replace("\r", " ")
         instance.events.append(Event(self.clock.now, source, message))
 
-    def _set_state(self, instance: NetworkServiceInstance, state: str):
-        if state not in _VALID_TRANSITIONS.get(instance.state, set()):
-            raise LifecycleError(f"illegal state transition {instance.state} -> {state}")
-        instance.state = state
-
-    def _fail(self, instance: NetworkServiceInstance, reason: str):
-        if instance.state not in ("Terminated", "Failed"):
-            instance.state = "Failed"
-        self._emit(instance, "NBI", f"failed reason={reason!r}")
-
     # -- Day-1 --
 
     def ns_create(self, actor: Actor, nsd_id: str, params: dict[str, str] | None = None,
@@ -313,9 +295,10 @@ class Orchestrator:
             self._deploy_infra(instance, nsd)
             self._configure_day1(instance, values)
         except SliceVpnError as exc:
-            self._fail(instance, str(exc))
+            instance.state = "Failed"
+            self._emit(instance, "NBI", f"failed reason={str(exc)!r}")
             raise
-        self._set_state(instance, "Running")
+        instance.state = "Running"
         self._emit(instance, "NBI", f"instance {instance.id} running")
         return instance.id
 
@@ -350,7 +333,6 @@ class Orchestrator:
         return values
 
     def _deploy_infra(self, instance: NetworkServiceInstance, nsd: NsDescriptor):
-        self._set_state(instance, "DeployingInfra")
         self._emit(instance, "RO", "deploy-start")
         for link in nsd.virtual_links:
             net_name = f"{instance.id}.{link.name}"
@@ -396,60 +378,49 @@ class Orchestrator:
         self._emit(instance, "RO", "deploy-complete")
 
     def _configure_day1(self, instance: NetworkServiceInstance, values: dict[str, object]):
-        self._set_state(instance, "ConfiguringDay1")
+        """Run each member's initial primitives, every chain from the same
+        anchor. The first failure ends Day-1; either way the events so far
+        are merged into the log and the clock moves past the last of them."""
         anchor = self.clock.now
-        prim_events: list[Event] = []
-        longest = Fraction(0)
-        for record in instance.vnf_records:
-            vnfd = self.catalog.get("vnfd", record.vnfd_id)
-            offset = Fraction(0)
-            for prim in vnfd.initial_config_primitives:
-                duration = instance.profile.primitive_duration(prim.name)
-                started = anchor + offset
-                finished = started + duration
-                offset += duration
-                prim_events.append(Event(started, "VCA",
-                                         f"primitive-start member={record.member_index} name={prim.name}"))
-                try:
-                    self._run_initial_primitive(record, prim.name, values)
-                except SliceVpnError as exc:
+        events: list[Event] = []
+        try:
+            for record in instance.vnf_records:
+                started = anchor
+                for prim in self.catalog.get("vnfd", record.vnfd_id).initial_config_primitives:
+                    duration = instance.profile.primitive_duration(prim.name)
+                    finished = started + duration
+                    which = f"member={record.member_index} name={prim.name}"
+                    events.append(Event(started, "VCA", f"primitive-start {which}"))
+                    try:
+                        self._run_initial_primitive(record, prim.name, values)
+                    except SliceVpnError as exc:
+                        record.executed_primitives.append(ExecutedPrimitive(
+                            prim.name, {}, started, finished, f"error: {exc}"))
+                        record.initial_count = len(record.executed_primitives)
+                        # earlier members' chains may extend past this failure point
+                        events.append(Event(max(finished, *(e.ts for e in events)), "VCA",
+                                            f"primitive-failed {which}"))
+                        raise LifecycleError(
+                            f"initial primitive {prim.name!r} failed on member "
+                            f"{record.member_index}: {exc}") from exc
                     record.executed_primitives.append(ExecutedPrimitive(
-                        prim.name, {}, started, finished, f"error: {exc}"))
-                    record.initial_count = len(record.executed_primitives)
-                    # earlier members' chains may extend past this failure point
-                    fail_ts = max([finished, self.clock.now] + [e.ts for e in prim_events])
-                    prim_events.append(Event(
-                        fail_ts, "VCA",
-                        f"primitive-failed member={record.member_index} name={prim.name}"))
-                    instance.events.extend(sorted(prim_events, key=lambda e: (e.ts, e.message)))
-                    self.clock.advance_to(fail_ts)
-                    raise LifecycleError(
-                        f"initial primitive {prim.name!r} failed on member "
-                        f"{record.member_index}: {exc}") from exc
-                record.executed_primitives.append(ExecutedPrimitive(
-                    prim.name, {}, started, finished, "ok"))
-                prim_events.append(Event(finished, "VCA",
-                                         f"primitive-complete member={record.member_index} "
-                                         f"name={prim.name} duration={format_seconds(duration)}"))
-            record.initial_count = len(record.executed_primitives)
-            longest = max(longest, offset)
-        self.clock.advance(longest)
-        instance.events.extend(sorted(prim_events, key=lambda e: (e.ts, e.message)))
+                        prim.name, {}, started, finished, "ok"))
+                    events.append(Event(finished, "VCA",
+                                        f"primitive-complete {which} duration={format_seconds(duration)}"))
+                    started = finished
+                record.initial_count = len(record.executed_primitives)
+        finally:
+            instance.events.extend(sorted(events, key=lambda e: (e.ts, e.message)))
+            self.clock.advance_to(instance.events[-1].ts)  # never backwards, so past `anchor` too
         self._emit(instance, "VCA", "initial-config-complete")
-
-    def _gateway_vdu(self, record: VnfRecord):
-        if not record.vdu_ids:
-            raise LifecycleError(f"member {record.member_index} has no vdus")
-        return self.vim.vdu(record.vdu_ids[0])
 
     def _run_initial_primitive(self, record: VnfRecord, name: str, values: dict[str, object]):
         """Run Day-1 primitive `name` on `record`, with the params ``_check_params`` parsed."""
         if name == "generate-keys":
             member = f"member.{record.member_index}."
             keypair = generate_keypair(values.get(member + "key-seed"))
-            vdu = self._gateway_vdu(record)
             listen_iface_name = values.get(member + "listen-interface") or DEFAULT_LISTEN_INTERFACE
-            listen_iface = vdu.interface(listen_iface_name)
+            listen_iface = self.vim.vdu(record.vdu_ids[0]).interface(listen_iface_name)
             if listen_iface is None:
                 raise LifecycleError(
                     f"member {record.member_index} has no interface {listen_iface_name!r} to listen on")
@@ -596,7 +567,7 @@ class Orchestrator:
             self.vim.delete_network(net_name)
         instance.released = True
         if instance.state != "Failed":  # Failed is terminal; cleanup does not relabel it
-            self._set_state(instance, "Terminated")
+            instance.state = "Terminated"
         self._emit(instance, "NBI", f"instance {instance_id} resources released")
 
     # -- slices --

@@ -233,7 +233,10 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
 def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
     """The instance, with the gateways that were bound when it was saved
     re-bound on `backend` once all of it has decoded. A bind that fails
-    closes those already bound, since the instance is then dropped."""
+    closes those already bound, since the instance is then dropped. A saved
+    instance is Running, Failed or Terminated; any other state is corrupt."""
+    if doc["state"] not in ("Running", "Failed", "Terminated"):
+        raise ValueError(f"state {doc['state']!r} is not Running, Failed or Terminated")
     records = [_record_from_doc(rdoc) for rdoc in doc["vnf-records"]]
     instance = NetworkServiceInstance(
         id=doc["id"],

@@ -181,7 +181,7 @@ class VduInterface:
 class VduInstance:
     id: str
     image: str
-    state: str  # Booting | Ready | Terminated
+    state: str  # Ready | Terminated (boot_vdus makes a VDU Ready at once; none is ever Booting)
     interfaces: tuple[VduInterface, ...]
     installed_packages: frozenset[str]
     boot_started_at: Fraction

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STRING_PARAMS_GATEWAY, save_peered_store
+from slicevpn import cli as cli_module
 from slicevpn import store as store_module
 from slicevpn.cli import main
 from slicevpn.cryptokey import generate_keypair
@@ -452,6 +453,22 @@ class TestBench:
         assert run_cli("--store", store, "bench", "ns-1", "latency", "--members", members) \
             == (1, "", f"error: --members expects two indices like 1,2, got {members!r}\n")
 
+    @pytest.mark.parametrize("option,value", [
+        *(("--timeout", value) for value in ("-1", "0", "nan", "inf")),
+        *(("--duration", value) for value in ("-1", "0", "nan", "inf", "1e999")),
+        *(("--payload-size", value) for value in ("0", "-1")),
+    ])
+    def test_values_the_harness_cannot_use_are_usage_errors(self, tmp_path, option, value):
+        # refused before the store is read: nothing is sealed, nothing is saved
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = (root / "state.json").read_bytes()
+        status, out, err = run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "5",
+                                   option, value)
+        assert (status, out) == (2, "")
+        kind = "size" if option == "--payload-size" else "seconds"
+        assert err.endswith(f"error: argument {option}: invalid {kind} value: {value!r}\n")
+        assert (root / "state.json").read_bytes() == before
+
     def test_latency_is_measured_on_the_wall_clock(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
         status, out, err = run_cli("--store", store, "--json", "bench", "ns-1", "latency",
@@ -536,6 +553,29 @@ class TestProcessHygiene:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, b"")  # no traceback, no error line
         assert _tx_counters(root) == [count + 20 for count in before]
+
+    def test_an_interrupted_bench_saves_the_counters_it_sealed(self, tmp_path, monkeypatch):
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        run_latency = cli_module.run_latency
+
+        def interrupted_after_five_echoes(pair, n_requests, timeout_s):
+            run_latency(pair, 5, timeout_s)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "run_latency", interrupted_after_five_echoes)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "20")
+        assert _tx_counters(root) == [count + 5 for count in before]
+
+    def test_a_failed_bench_saves_the_counters_it_sealed(self, tmp_path):
+        # the probe goes out before the oversized datagram is refused
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        assert run_cli("--store", str(root), "bench", "ns-1", "throughput", "--payload-size", "65467",
+                       "--duration", "0.2") == (1, "", "error: datagram of 65542 bytes exceeds 65507\n")
+        after = _tx_counters(root)
+        assert all(new > old for new, old in zip(after, before)) and len(after) == len(before) == 2
 
     def test_reading_commands_and_day2_actions_never_import_yaml(self, tmp_path):
         store = str(save_peered_store(tmp_path / "s", count=1).root)
@@ -1158,6 +1198,23 @@ class TestFailureScope:
         # no line starts with ns-3's key, and adding an instance indexes every line
         self.assert_fails(root, "kpi", "ns-3", prefix="state file")
         self.assert_fails(root, "ns-create", "wg-vpn", prefix="state file")
+
+    @pytest.mark.parametrize("state", ["DeployingInfra", "Bogus"])
+    def test_instance_state_no_command_leaves(self, tmp_path, state):
+        # a saved instance is Running, Failed or Terminated
+        root = tmp_path / "s"
+        save_peered_store(root)
+        path = root / "state.json"
+        lines = path.read_text().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith('{"id":"ns-3",'))
+        assert lines[at].count('"state":"Running"') == 1
+        lines[at] = lines[at].replace('"state":"Running"', f'"state":"{state}"')
+        path.write_text("\n".join(lines))
+        for argv in (["kpi", "ns-3"], ["ns-show", "ns-3"], ["ns-delete", "ns-3"]):
+            err = self.assert_fails(root, *argv, prefix="state file")
+            assert f"instance ns-3: ValueError: state '{state}' is not Running, Failed or Terminated" in err
+        self.assert_works(root, "kpi", "ns-1")
+        self.assert_works(root, "ns-delete", "ns-2")
 
     def test_corrupt_vim_network(self, tmp_path):
         root = tmp_path / "s"

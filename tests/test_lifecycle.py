@@ -20,7 +20,7 @@ from slicevpn.descriptors import PARAM_TYPES, parse_descriptor, parse_vnfd
 from slicevpn.errors import AuthorizationError
 from slicevpn.lifecycle import ADMIN, PARAM_PARSERS, Actor, LifecycleError, Orchestrator, export_event_log
 from slicevpn.transport import Endpoint, parse_decimal
-from slicevpn.vimsim import VimError
+from slicevpn.vimsim import TimingProfile, VimError
 
 TENANT = Actor("tenant1", "tenant")
 
@@ -118,6 +118,7 @@ class TestNsCreate:
         ("member.1.tunnel-address", "999.1.1.1"),
         ("member.1.key-seed", "zz"),
         ("member.1.key-seed", "0a"),  # too short
+        ("member.1.listen-interface", ""),
     ])
     def test_malformed_param_values_rejected_before_deploy(self, orch, key, value):
         with pytest.raises(LifecycleError, match="bad value"):
@@ -147,6 +148,35 @@ class TestNsCreate:
         assert instance.record(1).table.listen_endpoint.port == 51821
         assert instance.record(2).table.tunnel_address == "10.77.0.2"
         assert instance.record(1).table.public_key_b64 == generate_keypair(WEST_SEED).public_b64
+
+    def test_undeclared_member_param_rejected_before_deploy(self, orch):
+        with pytest.raises(LifecycleError) as info:
+            orch.ns_create(ADMIN, "wg-vpn", {"member.9.key-seed": WEST_SEED.hex()})
+        assert str(info.value) == "instantiation param 'member.9.key-seed' names an undeclared member"
+        assert orch.instances == {}
+
+    @pytest.mark.parametrize("second,params,member,reason", [
+        (2, {"member.1.listen-interface": "mgmt"}, 1, "member 1 has no interface 'mgmt' to listen on"),
+        (255, {}, 255, "member 255 needs an explicit member.255.tunnel-address param"),
+    ])
+    def test_a_value_generate_keys_refuses_fails_the_instance(self, orch, second, params, member, reason):
+        orch.onboard_package(parse_descriptor(
+            "kind: nsd\nschema-version: 1\nid: gw-pair\nname: p\nvnf-members:\n"
+            f"  - member-index: 1\n    vnfd-id: wg-gw\n  - member-index: {second}\n    vnfd-id: wg-gw\n"
+            "virtual-links:\n" + "".join(
+                f"  - name: {link}\n    cidr: 10.8.{net}.0/24\n    attachments:\n"
+                f"      - member-index: 1\n        interface: {link}\n"
+                f"      - member-index: {second}\n        interface: {link}\n"
+                for net, link in enumerate(("tunnel", "data")))))
+        with pytest.raises(LifecycleError) as info:
+            orch.ns_create(ADMIN, "gw-pair", params)
+        assert str(info.value) == f"initial primitive 'generate-keys' failed on member {member}: {reason}"
+        instance = orch.instances["ns-1"]
+        assert instance.state == "Failed"
+        assert [e.message for e in instance.events if e.message.startswith("primitive-failed")] == \
+            [f"primitive-failed member={member} name=generate-keys"]
+        assert instance.events[-1].message == f"failed reason={str(info.value)!r}"
+        assert instance.record(member).executed_primitives[-1].result == f"error: {reason}"
 
     def test_tenant_denied(self, orch):
         with pytest.raises(AuthorizationError, match="authorization denied"):
@@ -626,6 +656,12 @@ class TestSlices:
         with pytest.raises(LifecycleError, match="unknown slice param"):
             orch.slice_instantiate(ADMIN, "vpn-slice", {"member.1.key-seed": "00" * 32})
 
+    def test_slice_param_for_a_member_the_template_lacks(self, orch):
+        with pytest.raises(LifecycleError) as info:
+            orch.slice_instantiate(ADMIN, "vpn-slice", {"ns.3.member.1.key-seed": "00" * 32})
+        assert str(info.value) == "slice param 'ns.3.member.1.key-seed' names an out-of-range member"
+        assert orch.instances == {} and orch.slices == {}
+
 
 # --- property: lifecycle ordering under random schedules -------------------------
 
@@ -667,3 +703,70 @@ def test_day2_requires_running_and_follows_day1(schedule, create_first):
             initial = record.executed_primitives[:record.initial_count]
             for day2 in record.executed_primitives[record.initial_count:]:
                 assert all(p.finished_at <= day2.started_at for p in initial)
+
+
+# --- property: Day-1 chains on the simulated clock --------------------------------
+
+_DAY1_NAMES = ["generate-keys", "enable-forwarding", "start-wg", "warm-up"]  # warm-up: a timed no-op
+
+
+def _chains_instance(chains: list[list[str]], durations: dict[str, int]) -> tuple[Orchestrator, str | None]:
+    """ns-1 of an NSD whose member i runs chains[i - 1] on a one-VDU
+    gateway, all on one tunnel link; the error text if ns_create raised."""
+    orch = Orchestrator()
+    members = range(1, len(chains) + 1)
+    for member, chain in zip(members, chains):
+        primitives = "".join(f"  - name: {name}\n" for name in chain)
+        orch.onboard_package(parse_descriptor(
+            f"kind: vnfd\nschema-version: 1\nid: gw-{member}\nname: g\nmgmt-interface: tunnel\n"
+            "vdus:\n  - name: gw\n    image: ubuntu\n    interfaces:\n"
+            "      - name: tunnel\n        network: tunnel\n"
+            + (f"initial-config-primitives:\n{primitives}" if chain else "")))
+    orch.onboard_package(parse_descriptor(
+        "kind: nsd\nschema-version: 1\nid: chains\nname: c\nvnf-members:\n"
+        + "".join(f"  - member-index: {m}\n    vnfd-id: gw-{m}\n" for m in members)
+        + "virtual-links:\n  - name: tunnel\n    cidr: 10.8.0.0/24\n    attachments:\n"
+        + "".join(f"      - member-index: {m}\n        interface: tunnel\n" for m in members)))
+    try:
+        orch.ns_create(ADMIN, "chains", profile=TimingProfile(primitive_exec_s=durations))
+    except LifecycleError as exc:
+        return orch, str(exc)
+    return orch, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains=st.lists(st.permutations(_DAY1_NAMES).flatmap(
+           lambda names: st.integers(0, len(names)).map(lambda n: names[:n])), min_size=1, max_size=3),
+       durations=st.fixed_dictionaries({name: st.integers(0, 30) for name in _DAY1_NAMES}))
+def test_day1_events_merge_in_time_order_and_stop_at_the_first_failure(chains, durations):
+    orch, error = _chains_instance(chains, durations)
+    instance = orch.instances["ns-1"]
+    timestamps = [e.ts for e in instance.events]
+    assert timestamps == sorted(timestamps)
+    assert orch.clock.now == timestamps[-1]
+
+    def fails_at(chain):
+        """Where start-wg runs before generate-keys made the table it binds, if it does."""
+        if "start-wg" not in chain:
+            return None
+        at = chain.index("start-wg")
+        return None if "generate-keys" in chain[:at] else at
+
+    failing = next((m for m, chain in enumerate(chains, start=1) if fails_at(chain) is not None), None)
+    failed = [e.message for e in instance.events if e.message.startswith("primitive-failed")]
+    if failing is None:
+        assert (error, failed, instance.state) == (None, [], "Running")
+        anchor = next(e.ts for e in instance.events if e.message == "deploy-complete")
+        assert orch.clock.now == anchor + max(sum(durations[name] for name in chain) for chain in chains)
+    else:
+        assert error.startswith(f"initial primitive 'start-wg' failed on member {failing}: ")
+        assert (failed, instance.state) == ([f"primitive-failed member={failing} name=start-wg"], "Failed")
+        # stamped no earlier than its primitive's finish or any Day-1 event before it
+        stamp = next(e.ts for e in instance.events if e.message == failed[0])
+        assert stamp == max(e.ts for e in instance.events if e.source == "VCA")
+        assert stamp >= instance.record(failing).executed_primitives[-1].finished_at
+    for member, chain in enumerate(chains, start=1):
+        executed = len(chain) if failing is None or member < failing else \
+            fails_at(chain) + 1 if member == failing else 0
+        record = instance.record(member)
+        assert record.initial_count == len(record.executed_primitives) == executed
