@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("kind", choices=("throughput", "latency"))
     p.add_argument("--duration", type=_seconds, default=10.0, help="throughput run seconds")
-    p.add_argument("--requests", type=_int, default=1000, help="latency echo count")
+    p.add_argument("--requests", type=_size, default=1000, help="latency echo count")
     p.add_argument("--payload-size", type=_size, default=8192)
     p.add_argument("--timeout", type=_seconds, default=2.0, help="per-echo deadline seconds")
     p.add_argument("--members", help="gateway member pair, e.g. 1,2 (default: first two gateways)")
@@ -314,6 +314,8 @@ def cmd_bench(orch, args) -> int:
         result = run_throughput(pair, args.duration, args.payload_size)
     else:
         result = run_latency(pair, args.requests, args.timeout)
+        if not result.latency_count:  # raised after the echoes, so the save keeps their counters
+            raise SliceVpnError(f"latency bench has no samples: all {result.timeouts} echoes timed out")
     rep = report(result)
     _emit(args, rep.fields, rep.text)
     return 0

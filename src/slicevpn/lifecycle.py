@@ -25,6 +25,7 @@ parallel; Day-2 actions are serial operator calls.
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 import re
 from dataclasses import dataclass, field
@@ -380,12 +381,16 @@ class Orchestrator:
     def _configure_day1(self, instance: NetworkServiceInstance, values: dict[str, object]):
         """Run each member's initial primitives, every chain from the same
         anchor. The first failure ends Day-1; either way the events so far
-        are merged into the log and the clock moves past the last of them."""
+        are merged into the log and the clock moves past the last of them.
+        The merge orders events by time, then text, and keeps each chain's
+        own order, so a primitive of 0 s still starts before it ends."""
         anchor = self.clock.now
-        events: list[Event] = []
+        chains: list[list[Event]] = []
         try:
             for record in instance.vnf_records:
                 started = anchor
+                events: list[Event] = []
+                chains.append(events)
                 for prim in self.catalog.get("vnfd", record.vnfd_id).initial_config_primitives:
                     duration = instance.profile.primitive_duration(prim.name)
                     finished = started + duration
@@ -398,7 +403,7 @@ class Orchestrator:
                             prim.name, {}, started, finished, f"error: {exc}"))
                         record.initial_count = len(record.executed_primitives)
                         # earlier members' chains may extend past this failure point
-                        events.append(Event(max(finished, *(e.ts for e in events)), "VCA",
+                        events.append(Event(max(finished, *(e.ts for chain in chains for e in chain)), "VCA",
                                             f"primitive-failed {which}"))
                         raise LifecycleError(
                             f"initial primitive {prim.name!r} failed on member "
@@ -410,7 +415,7 @@ class Orchestrator:
                     started = finished
                 record.initial_count = len(record.executed_primitives)
         finally:
-            instance.events.extend(sorted(events, key=lambda e: (e.ts, e.message)))
+            instance.events.extend(heapq.merge(*chains, key=lambda e: (e.ts, e.message)))
             self.clock.advance_to(instance.events[-1].ts)  # never backwards, so past `anchor` too
         self._emit(instance, "VCA", "initial-config-complete")
 

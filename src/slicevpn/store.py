@@ -27,9 +27,12 @@ descriptor onboarded since loading, with its compiled form beside it
 A catalog file whose text is its compiled form's is read by checking that
 document, with no YAML parse; with no such form, or a stale, unreadable or
 malformed one, the text is parsed. The compiled form is trusted like
-``state.json``. Each file is written under a temporary name and renamed
-over the old one, catalog files before ``state.json``, so a save cut off
-midway leaves every file whole, old or new. A VNF record keeps the Day-2
+``state.json``. Each file is written in place into its shadow
+(``<name>.tmp``, the file the save before replaced) and swapped in by
+renames (``_write_atomic``), catalog files before ``state.json``, so a save
+cut off midway leaves every file whole, old or new. A shadow holds its
+file's previous contents, ``state.json``'s private keys included, until the
+next save. A VNF record keeps the Day-2
 primitives its VNFD declares, so ``ns-action`` reads no catalog file. A
 corrupt document line or catalog file fails only the commands that touch
 it (a line whose key cannot be read, only those that index the file), and
@@ -43,13 +46,16 @@ kernel drops it when its holder exits, even by ``kill -9``.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import functools
 import ipaddress
 import json
 import os
+import re
+import stat
 from collections.abc import Callable, Iterable, Mapping, MutableMapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -305,6 +311,8 @@ def _vdu_from_doc(doc: dict) -> VduInstance:
 # what keys the instance, VIM network and VIM VDU lines, and how each line starts
 _KEYS = ("id", "name", "id")
 _PREFIXES = tuple(b'{"' + key.encode("ascii") + b'":"' for key in _KEYS)
+# each line's start up to the end of its key, if the key's JSON string holds no escape or control character
+_PLAIN_KEYS = tuple(re.compile(re.escape(prefix) + rb'([^"\\\x00-\x1f]*)"') for prefix in _PREFIXES)
 
 
 def _encode(value) -> bytes:
@@ -331,16 +339,23 @@ def _line_end(data: bytes, newline: int) -> int:
 
 
 def _index(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
-    """Every document line's (start, end) by key, per group; a ValueError for a line out of layout."""
+    """Every document line's (start, end) by key, per group; a ValueError for a line out of layout.
+    A key with no escape or control character is its bytes, decoded, and no more of its line is;
+    any other is read as JSON (``scanstring``) from its line decoded whole."""
     spans = ({}, {}, {})
-    for (lo, hi), prefix, group in zip(bounds, _PREFIXES, spans):
+    for (lo, hi), prefix, plain, group in zip(bounds, _PREFIXES, _PLAIN_KEYS, spans):
         start = lo + 1
         while start <= hi:
             newline = data.find(b"\n", start)
             end = _line_end(data, newline)
-            if not data.startswith(prefix, start, end):
+            match = plain.match(data, start, end)
+            if match:
+                key = match[1].decode("utf-8")
+            elif data.startswith(prefix, start, end):
+                key = json.decoder.scanstring(data[start:end].decode("utf-8"), len(prefix))[0]
+            else:
                 raise ValueError(f"a document line does not start with {prefix.decode()}")
-            group[json.decoder.scanstring(data[start:end].decode("utf-8"), len(prefix))[0]] = (start, end)
+            group[key] = (start, end)
             start = newline + 1
     return spans
 
@@ -509,14 +524,62 @@ def _compiled(text: str, doc) -> bytes | None:
     return encoded.encode("ascii") if json.loads(encoded)["doc"] == doc else None
 
 
+def _open_shadow(tmp: Path) -> int:
+    """A descriptor to write `tmp` from its start: the file there if it is a
+    regular file with one link, else a new one in its place, so that a
+    symlink or a hard-linked backup (``cp -al``) is never written through."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except OSError as exc:
+        if exc.errno != errno.ELOOP:  # ELOOP: a symlink
+            raise
+    else:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            return fd
+        os.close(fd)
+    os.unlink(tmp)
+    return os.open(tmp, flags | os.O_EXCL, 0o666)
+
+
 def _write_atomic(path: Path, pieces: Iterable[bytes]):
-    """Replace `path` with the joined `pieces` so that a reader, or a process
-    killed mid-write, sees the old file or the new one, never a torn one. The
-    temporary name ends in ``.tmp``, so no ``*.yaml`` glob picks it up."""
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb", buffering=1 << 16) as f:  # ~20, not ~170, write calls per MB of lines
+    """Replace `path` with the joined `pieces` so that a process killed
+    mid-save leaves the old file or the new one, never a torn one.
+
+    The bytes go into the shadow ``<name>.tmp``, in place, and the names are
+    swapped: `path` is hard-linked as ``<name>.old``, the shadow renamed
+    over `path`, and ``.old`` renamed to the shadow's name. At every step
+    `path` names a whole file, old or new; a ``.old`` left by a killed save
+    is unlinked first. So the file a save replaces is the next save's
+    shadow, and a save frees or allocates blocks only as the file's length
+    changes. With no file
+    to keep (a first save, a new catalog file), or where the filesystem
+    refuses the link, the shadow is renamed over `path` alone. The shadow
+    holds the previous contents until the next save. The names end in
+    ``.tmp`` and ``.old``, so no ``*.yaml`` glob picks them up.
+
+    Overwriting the shadow in place is safe only because no reader in the
+    program holds its inode: every command holds the store's ``flock`` from
+    load to save, and ``Store.load`` copies the file (``read_bytes``) and
+    never maps it. A reader outside the lock should copy the store between
+    commands. Nothing calls ``fsync``, so nothing is promised against power
+    loss: ext4's ``auto_da_alloc`` flushes a new file renamed over an old
+    one, but not blocks overwritten in place, so after a power cut the
+    renamed shadow may hold blocks of the state two saves back."""
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    with os.fdopen(_open_shadow(tmp), "wb", buffering=1 << 16) as f:  # ~20 write calls per MB of lines
         f.writelines(pieces)
+        f.truncate()  # cuts off the rest of longer contents it held
+    with suppress(FileNotFoundError):  # else left by a killed save
+        os.unlink(old)
+    try:
+        os.link(path, old)
+    except OSError:  # nothing to keep, or no hard links here
+        os.replace(tmp, path)
+        return
     os.replace(tmp, path)
+    os.replace(old, tmp)
 
 
 # what decoding a malformed document or catalog file raises

@@ -29,6 +29,7 @@ from slicevpn import store as store_module
 from slicevpn.cli import main
 from slicevpn.cryptokey import generate_keypair
 from slicevpn.descriptors import Catalog
+from slicevpn.kpi import BenchResult
 from slicevpn.store import Store
 
 REPO = Path(__file__).resolve().parent.parent
@@ -456,7 +457,7 @@ class TestBench:
     @pytest.mark.parametrize("option,value", [
         *(("--timeout", value) for value in ("-1", "0", "nan", "inf")),
         *(("--duration", value) for value in ("-1", "0", "nan", "inf", "1e999")),
-        *(("--payload-size", value) for value in ("0", "-1")),
+        *((option, value) for option in ("--payload-size", "--requests") for value in ("0", "-1")),
     ])
     def test_values_the_harness_cannot_use_are_usage_errors(self, tmp_path, option, value):
         # refused before the store is read: nothing is sealed, nothing is saved
@@ -465,7 +466,7 @@ class TestBench:
         status, out, err = run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "5",
                                    option, value)
         assert (status, out) == (2, "")
-        kind = "size" if option == "--payload-size" else "seconds"
+        kind = "size" if option in ("--payload-size", "--requests") else "seconds"
         assert err.endswith(f"error: argument {option}: invalid {kind} value: {value!r}\n")
         assert (root / "state.json").read_bytes() == before
 
@@ -566,6 +567,20 @@ class TestProcessHygiene:
         monkeypatch.setattr(cli_module, "run_latency", interrupted_after_five_echoes)
         with pytest.raises(KeyboardInterrupt):
             run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "20")
+        assert _tx_counters(root) == [count + 5 for count in before]
+
+    def test_a_latency_bench_whose_every_echo_timed_out_is_an_error_that_saves(self, tmp_path, monkeypatch):
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        run_latency = cli_module.run_latency
+
+        def every_echo_times_out(pair, n_requests, timeout_s):
+            sent = run_latency(pair, n_requests, timeout_s)
+            return BenchResult.from_latency_samples([], sent.latency_count + sent.timeouts, 0, sent.duration_s)
+
+        monkeypatch.setattr(cli_module, "run_latency", every_echo_times_out)
+        assert run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "5") \
+            == (1, "", "error: latency bench has no samples: all 5 echoes timed out\n")
         assert _tx_counters(root) == [count + 5 for count in before]
 
     def test_a_failed_bench_saves_the_counters_it_sealed(self, tmp_path):

@@ -752,6 +752,7 @@ def test_day1_events_merge_in_time_order_and_stop_at_the_first_failure(chains, d
         at = chain.index("start-wg")
         return None if "generate-keys" in chain[:at] else at
 
+    assert _each_primitive_starts_before_it_ends(instance.events)
     failing = next((m for m, chain in enumerate(chains, start=1) if fails_at(chain) is not None), None)
     failed = [e.message for e in instance.events if e.message.startswith("primitive-failed")]
     if failing is None:
@@ -770,3 +771,28 @@ def test_day1_events_merge_in_time_order_and_stop_at_the_first_failure(chains, d
             fails_at(chain) + 1 if member == failing else 0
         record = instance.record(member)
         assert record.initial_count == len(record.executed_primitives) == executed
+
+
+def _each_primitive_starts_before_it_ends(events) -> bool:
+    started = set()
+    for event in events:
+        kind, _, which = event.message.partition(" ")
+        if kind == "primitive-start":
+            started.add(which)
+        elif kind in ("primitive-complete", "primitive-failed") and which.split(" duration=")[0] not in started:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("chains", [[["start-wg"]], [["warm-up", "start-wg"], ["generate-keys"]],
+                                    [_DAY1_NAMES, ["warm-up"], ["enable-forwarding", "warm-up"]]])
+def test_day1_primitives_of_no_time_start_before_they_end(chains):
+    orch, error = _chains_instance(chains, dict.fromkeys(_DAY1_NAMES, 0))
+    events = orch.instances["ns-1"].events
+    assert (error is None) == (chains[0] == _DAY1_NAMES)
+    assert _each_primitive_starts_before_it_ends(events)
+    day1 = [e.message for e in events if e.message.startswith("primitive-")]
+    if error is None:
+        assert len(day1) == 2 * sum(len(chain) for chain in chains)
+    else:  # member 1's start-wg runs before its generate-keys, and its failure is the last event
+        assert day1[-1] == "primitive-failed member=1 name=start-wg"

@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import errno
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -260,6 +261,36 @@ class TestRoundTrip:
         assert west2.lookup_by_ip("10.0.2.9") == third
 
 
+def _spy_on_writes(monkeypatch) -> list[str]:
+    """The name of each file a save writes, in order, as it writes them."""
+    written = []
+    write_atomic = store_module._write_atomic
+    monkeypatch.setattr(store_module, "_write_atomic",
+                        lambda path, pieces: written.append(path.name) or write_atomic(path, pieces))
+    return written
+
+
+def _torn_file(fdopen):
+    """An ``os.fdopen`` whose file takes half of what is written to it, then
+    fails as a full disk does."""
+    class TornFile:
+        def __init__(self, fd, *args, **kwargs):
+            self.file = fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def writelines(self, pieces):
+            data = b"".join(pieces)
+            self.file.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    return TornFile
+
+
 class TestLineLayout:
     def test_one_document_per_line_around_the_skeleton(self, tmp_path):
         save_peered_store(tmp_path / "s")
@@ -286,16 +317,9 @@ class TestLineLayout:
         store = save_peered_store(tmp_path / "s")
         orch = store.load()
         orch.instances["ns-2"]
-        replaced = []
-        replace = os.replace
-
-        def spy(src, dst):
-            replaced.append(Path(dst).name)
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", spy)
+        written = _spy_on_writes(monkeypatch)
         store.save(orch)
-        assert replaced == [STATE_FILE]
+        assert written == [STATE_FILE]
 
 
 def _laid_out_in_lines(state: dict) -> bytes:
@@ -370,6 +394,53 @@ class TestSplice:
         assert _document_lines(after) - _document_lines(before) == _document_lines(pristine.split(b"\n")[1])
 
 
+def _index_by_decoding_lines(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
+    """The reference for ``store._index``: each line decoded whole, its key read as JSON."""
+    spans = ({}, {}, {})
+    for (lo, hi), prefix, group in zip(bounds, store_module._PREFIXES, spans):
+        start = lo + 1
+        while start <= hi:
+            newline = data.find(b"\n", start)
+            end = store_module._line_end(data, newline)
+            if not data.startswith(prefix, start, end):
+                raise ValueError(f"a document line does not start with {prefix.decode()}")
+            group[json.decoder.scanstring(data[start:end].decode("utf-8"), len(prefix))[0]] = (start, end)
+            start = newline + 1
+    return spans
+
+
+# what a key's JSON string may hold: any text a line can (control characters too), escapes
+# valid and invalid, and an unterminated \u escape
+_KEY_PIECES = st.one_of(
+    st.characters(blacklist_characters='"\\\n\r', blacklist_categories=("Cs",)),
+    st.sampled_from(["\\\"", "\\\\", "\\/", "\\b", "\\t", "\\u00e9", "\\ud83d\\ude00", "\\u0000",
+                     "\\q", "\\u12", "ns-1", "\u00e9t\u00e9"]))
+
+
+class TestIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(st.lists(_KEY_PIECES, max_size=6).map("".join), min_size=1, max_size=6),
+           tail=st.sampled_from(["", ",", " \t,"]))
+    def test_keys_read_as_decoding_each_whole_line_reads_them(self, keys, tail):
+        head, *closing = store_module._skeleton({"instances": [0], "vim": {"networks": [1], "vdus": [2]}})
+        lines = [f'{{"id":"{key}","n":{n},"text":"\u00e9\\u00e9"}}{tail if n < len(keys) - 1 else ""}'
+                 for n, key in enumerate(keys)]
+        data = b"\n".join([head, "\n".join(lines).encode("utf-8"), *closing])
+        file = store_module._StateFile(data)
+
+        def outcome(index):
+            try:
+                return index(data, file.bounds)
+            except ValueError:
+                return ValueError
+
+        with mock.patch.object(json.decoder, "scanstring", wraps=json.decoder.scanstring) as scanstring:
+            indexed = outcome(store_module._index)
+        assert indexed == outcome(_index_by_decoding_lines)
+        if indexed is not ValueError:  # only a key with an escape or a control character is read as JSON
+            assert scanstring.call_count == sum(1 for key in keys if "\\" in key or min(key + " ") < " ")
+
+
 class TestInterruptedSave:
     def test_torn_catalog_write_leaves_no_torn_descriptor(self, tmp_path, monkeypatch):
         root = tmp_path / "s"
@@ -377,24 +448,7 @@ class TestInterruptedSave:
         store = Store(root)
         orch = store.load()
         orch.onboard_package(gateway)
-        open_ = Path.open
-
-        class TornFile:  # the disk fills up halfway through the file
-            def __init__(self, path, *args, **kwargs):
-                self.file = open_(path, *args, **kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.file.close()
-
-            def writelines(self, pieces):
-                data = b"".join(pieces)
-                self.file.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: TornFile(path, *args, **kwargs))
+        monkeypatch.setattr(os, "fdopen", _torn_file(os.fdopen))
         with pytest.raises(OSError) as failure:
             store.save(orch)
         monkeypatch.undo()
@@ -407,6 +461,99 @@ class TestInterruptedSave:
         orch.onboard_package(gateway)  # re-onboarding the same file
         store.save(orch)
         assert Store(root).load().catalog.get("vnfd", "wg-gw") == gateway
+
+
+def _shadow_store(root: Path) -> tuple[Store, Path]:
+    """A one-instance store saved twice, so that it has its shadow, and the
+    path of its state file."""
+    store = save_peered_store(root, count=1)
+    store.save(store.load())
+    return store, root / STATE_FILE
+
+
+def _names(path: Path) -> tuple[Path, Path]:
+    return path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+
+
+class TestShadowSave:
+    """A save writes the new state into the shadow ``state.json.tmp`` in
+    place and swaps names, so that the file it replaces is the next save's
+    shadow; at every step ``state.json`` is the old state or the new one."""
+
+    def test_the_replaced_file_is_the_next_shadow(self, tmp_path):
+        store, path = _shadow_store(tmp_path / "s")
+        tmp, old = _names(path)
+        for change in ("add an actor", "delete the instance", "add an actor"):
+            orch = store.load()
+            if change == "delete the instance":
+                del orch.instances["ns-1"]  # the new state is shorter than the shadow was
+            else:
+                orch.register_actor(Actor(f"t{len(orch.actors)}", "tenant", frozenset({"ns-1"})))
+            before, shadow = path.stat(), tmp.stat()
+            previous = path.read_bytes()
+            store.save(orch)
+            assert (path.stat().st_ino, tmp.stat().st_ino) == (shadow.st_ino, before.st_ino)
+            assert tmp.read_bytes() == previous and tmp.stat().st_nlink == 1
+            assert not old.exists()
+            expected = Store(tmp_path / "fresh")
+            expected.save(orch)
+            assert path.read_bytes() == (expected.root / STATE_FILE).read_bytes()
+
+    @pytest.mark.parametrize("step", ["shadow write", "unlink of a leftover .old", "link",
+                                      "rename over the state", "rename to the shadow"])
+    def test_a_save_failing_at_any_step_leaves_the_old_or_the_new_state(self, tmp_path, monkeypatch, step):
+        store, path = _shadow_store(tmp_path / "s")
+        tmp, old = _names(path)
+        os.link(path, old)  # as a save killed after its link leaves it
+        previous = path.read_bytes()
+        orch = store.load()
+        orch.register_actor(Actor("t1", "tenant", frozenset({"ns-1"})))
+        if step == "shadow write":
+            monkeypatch.setattr(os, "fdopen", _torn_file(os.fdopen))
+        else:
+            name, call = {"unlink of a leftover .old": ("unlink", 1), "link": ("link", 1),
+                          "rename over the state": ("replace", 1), "rename to the shadow": ("replace", 2)}[step]
+            calls = itertools.count(1)
+            real = getattr(os, name)
+
+            def fail_once(*args, **kwargs):
+                if next(calls) == call:
+                    raise OSError(errno.EIO, f"{step} failed")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, fail_once)
+        try:
+            store.save(orch)
+        except OSError:
+            assert step != "link"
+        else:  # a refused link is a save by rename alone
+            assert step == "link" and not tmp.exists() and not old.exists()
+        monkeypatch.undo()
+        after = path.read_bytes()
+        store.save(orch)  # the next save succeeds
+        new = path.read_bytes()
+        assert after in (previous, new) and previous != new
+        assert not old.exists() and tmp.stat().st_nlink == 1
+        assert Store(store.root).load().actors["t1"].permitted == frozenset({"ns-1"})
+
+    def test_a_shadow_with_another_name_is_never_written_through(self, tmp_path):
+        store, path = _shadow_store(tmp_path / "s")
+        tmp, _ = _names(path)
+        backup = tmp_path / "backup"  # as ``cp -al`` of the store makes it
+        os.link(tmp, backup)
+        outside = tmp_path / "outside"
+        outside.write_bytes(b"not the store's")
+        for name in ("hard-linked backup", "symlink"):
+            kept = backup.read_bytes()
+            if name == "symlink":
+                tmp.unlink()
+                tmp.symlink_to(outside)
+            orch = store.load()
+            orch.register_actor(Actor(f"t{len(orch.actors)}", "tenant", frozenset({"ns-1"})))
+            store.save(orch)
+            assert backup.read_bytes() == kept and outside.read_bytes() == b"not the store's"
+            assert not tmp.is_symlink() and tmp.stat().st_nlink == 1
+        assert len(Store(store.root).load().actors) == len(orch.actors)
 
 
 class TestCompiledCatalog:
@@ -446,12 +593,10 @@ class TestCompiledCatalog:
         store = Store(tmp_path)
         orch = store.load()
         orch.onboard_package(parse_descriptor(sample_text("vnfd-wireguard-gateway.yaml")))
-        replaced = []
-        replace = os.replace
-        monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(Path(dst).name) or replace(src, dst))
+        written = _spy_on_writes(monkeypatch)
         store.save(orch)
         store.save(orch)  # the catalog is unchanged: nothing but the state is written again
-        assert replaced == ["vnfd-wg-gw.yaml", "vnfd-wg-gw.json", STATE_FILE, STATE_FILE]
+        assert written == ["vnfd-wg-gw.yaml", "vnfd-wg-gw.json", STATE_FILE, STATE_FILE]
 
 
 class TestLocking:
