@@ -8,7 +8,7 @@ happen in the lifecycle layer; ``--as`` only selects the acting identity.
 
 Output is written once the store is saved. Exit status: 0 success, 1 domain
 error (its single line on stderr is the only output) or a closed stdout, 2
-usage.
+usage, 143 a bench ended by ``SIGTERM`` (after it saved its counters).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import signal
 import sys
 from contextlib import redirect_stdout
 
@@ -310,12 +311,15 @@ def cmd_bench(orch, args) -> int:
     orch.ns_show(orch.actor(args.actor), args.instance)  # RBAC + existence
     member_a, member_b = _members_arg(args.members)
     pair = TunnelPair.from_instance(orch, args.instance, member_a, member_b)
-    if args.kind == "throughput":
-        result = run_throughput(pair, args.duration, args.payload_size)
-    else:
-        result = run_latency(pair, args.requests, args.timeout)
-        if not result.latency_count:  # raised after the echoes, so the save keeps their counters
-            raise SliceVpnError(f"latency bench has no samples: all {result.timeouts} echoes timed out")
+    try:
+        if args.kind == "throughput":
+            result = run_throughput(pair, args.duration, args.payload_size)
+        else:
+            result = run_latency(pair, args.requests, args.timeout)
+            if not result.latency_count:  # raised after the echoes, so the save keeps their counters
+                raise SliceVpnError(f"latency bench has no samples: all {result.timeouts} echoes timed out")
+    finally:  # a SIGTERM from here on waits until main ends, so that it cannot cut the save short
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     rep = report(result)
     _emit(args, rep.fields, rep.text)
     return 0
@@ -336,12 +340,21 @@ _COMMANDS = {
 _MUTATING = {"onboard", "ns-create", "ns-action", "ns-delete", "slice-create", "bench"}
 
 
+def _terminate(signum, frame):
+    """SIGTERM while a bench runs: exit 143 by an exception, so that ``main``
+    saves the counters it sealed. A second one waits until ``main`` ends."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signum})
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     store = Store(args.store)
     # bench measures the tunnel over loopback UDP; None runs in memory on the restored clock
     backend = UdpBackend() if args.command == "bench" else None
     out = io.StringIO()  # written once the store is saved
+    if args.command == "bench":
+        previous, mask = signal.signal(signal.SIGTERM, _terminate), signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         with store.lock():
             orch = store.load(backend=backend)
@@ -363,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     except SliceVpnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:  # a SIGTERM held back through the save comes now, to the handler it had before
+        if args.command == "bench":
+            signal.signal(signal.SIGTERM, previous)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     try:
         sys.stdout.write(out.getvalue())
         sys.stdout.flush()

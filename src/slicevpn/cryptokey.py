@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -107,10 +107,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     if len(seed) != 32:
         raise CryptokeyError(f"seed must be 32 bytes, got {len(seed)}")
     priv = X25519PrivateKey.from_private_bytes(seed)
-    pub = priv.public_key().public_bytes(
-        encoding=serialization.Encoding.Raw, format=serialization.PublicFormat.Raw
-    )
-    return KeyPair(private=seed, public=pub)
+    return KeyPair(private=seed, public=priv.public_key().public_bytes_raw())
 
 
 def dh(private: bytes, peer_public: bytes) -> bytes:

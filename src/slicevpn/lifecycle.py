@@ -133,15 +133,13 @@ class VnfRecord:
     member_index: int
     vnfd_id: str
     vdu_ids: list[str]
+    config_primitives: tuple[PrimitiveSpec, ...]  # the Day-2 primitives its VNFD declares
     mgmt_address: str | None = None
     table: CryptokeyRoutingTable | None = None
     handle: Handle | None = None
     transport_scope: str = ""  # the tunnel network this gateway's endpoint lives on
     executed_primitives: list[ExecutedPrimitive] = field(default_factory=list)
     initial_count: int = 0  # first N executed_primitives are Day-1
-    # the Day-2 primitives its VNFD declares; None in a record loaded from a store
-    # written before records kept them
-    config_primitives: tuple[PrimitiveSpec, ...] | None = None
 
     def first_action(self, name: str) -> ExecutedPrimitive | None:
         for p in self.executed_primitives[self.initial_count:]:
@@ -475,8 +473,6 @@ class Orchestrator:
         if instance.state != "Running":
             raise LifecycleError(f"instance {instance_id} is {instance.state}, not Running")
         record = instance.record(member)
-        if record.config_primitives is None:
-            record.config_primitives = self.catalog.get("vnfd", record.vnfd_id).config_primitives
         declared = {p.name: p for p in record.config_primitives}
         if action not in declared:
             raise LifecycleError(

@@ -4,8 +4,11 @@ A store directory holds the onboarded catalog as descriptor YAML files plus
 one ``state.json`` with the VIM, instances, and actors. Simulated timestamps
 serialize as exact fraction strings, so a reloaded store continues on the
 same clock. Gateway private keys live in this state file (it is the
-artifact's disk, like a real gateway's config directory) and are never
-echoed into reports, logs, or command output.
+artifact's disk, like a real gateway's config directory), which only its
+owner can read (``0600``), and are never echoed into reports, logs, or
+command output. ``Store.load`` refuses a ``state.json`` of any ``"version"``
+but ``VERSION`` before it decodes anything, so every store that loads is one
+this code wrote and no save rewrites a file another build would read.
 
 ``state.json`` is compact JSON with one document per line: each instance,
 VIM network and VIM VDU on a line of its own, its key (``"id"`` or
@@ -87,6 +90,7 @@ from slicevpn.vimsim import (
 STATE_FILE = "state.json"
 CATALOG_DIR = "catalog"
 LOCK_FILE = ".lock"
+VERSION = 2  # of state.json's layout: a store of any other version is refused, never read or rewritten
 
 
 class StoreError(SliceVpnError):
@@ -159,13 +163,8 @@ def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
             # a peer may own no prefixes after exact-prefix reassignment
             table.peers[key] = PeerEntry(public_key=key, allowed_ips=[],
                                          endpoint=_unendpoint(peer["endpoint"]))
-    sessions = doc.get("sessions")
-    if sessions is None:  # an older store: "tx-counters" plus each peer's "rx-watermark"
-        sessions = {key: [tx, 0] for key, tx in doc["tx-counters"].items()}
-        for peer in doc["peers"]:
-            sessions.setdefault(peer["public-key-hex"], [0, 0])[1] = peer["rx-watermark"]
     # a session whose peer was deleted is kept, so a re-added peer rejects old envelopes
-    table.sessions = {bytes.fromhex(key): Session(tx, rx) for key, (tx, rx) in sessions.items()}
+    table.sessions = {bytes.fromhex(key): Session(tx, rx) for key, (tx, rx) in doc["sessions"].items()}
     return table
 
 
@@ -179,8 +178,8 @@ def _record_to_doc(record: VnfRecord) -> dict:
         "bound": record.handle is not None,
         "initial-count": record.initial_count,
         # each primitive's params as "name:type" words, in order: a record line parses to few objects
-        "config-primitives": None if record.config_primitives is None else {
-            p.name: " ".join(f"{q.name}:{q.type}" for q in p.params) for p in record.config_primitives},
+        "config-primitives": {p.name: " ".join(f"{q.name}:{q.type}" for q in p.params)
+                              for p in record.config_primitives},
         "table": _table_to_doc(record.table) if record.table is not None else None,
         "executed-primitives": [
             {
@@ -196,7 +195,6 @@ def _record_to_doc(record: VnfRecord) -> dict:
 
 
 def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
-    primitives = doc.get("config-primitives")  # None in an older store; ns_action fills it
     record = VnfRecord(
         member_index=doc["member-index"],
         vnfd_id=doc["vnfd-id"],
@@ -204,9 +202,9 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
         mgmt_address=doc["mgmt-address"],
         transport_scope=doc["transport-scope"],
         initial_count=doc["initial-count"],
-        config_primitives=None if primitives is None else tuple(
+        config_primitives=tuple(
             PrimitiveSpec(name, tuple(PrimitiveParam(*word.split(":")) for word in params.split()))
-            for name, params in primitives.items()),
+            for name, params in doc["config-primitives"].items()),
         table=_table_from_doc(doc["table"]) if doc["table"] is not None else None,
         executed_primitives=[
             ExecutedPrimitive(
@@ -530,7 +528,7 @@ def _open_shadow(tmp: Path) -> int:
     symlink or a hard-linked backup (``cp -al``) is never written through."""
     flags = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW
     try:
-        fd = os.open(tmp, flags, 0o666)
+        fd = os.open(tmp, flags, 0o600)  # its owner's alone: state.json holds private keys
     except OSError as exc:
         if exc.errno != errno.ELOOP:  # ELOOP: a symlink
             raise
@@ -540,7 +538,7 @@ def _open_shadow(tmp: Path) -> int:
             return fd
         os.close(fd)
     os.unlink(tmp)
-    return os.open(tmp, flags | os.O_EXCL, 0o666)
+    return os.open(tmp, flags | os.O_EXCL, 0o600)
 
 
 def _write_atomic(path: Path, pieces: Iterable[bytes]):
@@ -671,7 +669,7 @@ def _orchestrator_from_doc(file: _StateFile, backend) -> Orchestrator:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
     orch.instances = LazyDocuments(instances, functools.partial(_instance_from_doc, backend=orch.backend),
                                    lambda k: f"{where} instance {k}")
-    for sdoc in state.get("slices", []):
+    for sdoc in state["slices"]:
         orch.slices[sdoc["id"]] = SliceInstance(
             id=sdoc["id"], nst_id=sdoc["nst-id"],
             ns_instance_ids=list(sdoc["ns-instance-ids"]),
@@ -719,7 +717,7 @@ class Store:
                   (orch.vim._networks, lambda n: _line(_network_to_doc(n), "name")),
                   (orch.vim._vdus, lambda v: _line(_vdu_to_doc(v), "id"))]
         skeleton = _skeleton({
-            "version": 1,
+            "version": VERSION,
             "vim": {"clock": _frac(orch.vim.clock.now), "networks": [1], "vdus": [2]},
             "next-ns": orch._next_ns, "next-slice": orch._next_slice, "next-slice-net": orch._next_slice_net,
             "actors": [{"name": a.name, "role": a.role, "permitted": sorted(a.permitted)}
@@ -746,7 +744,11 @@ class Store:
             orch = Orchestrator(backend=backend)
         else:
             try:
-                orch = _orchestrator_from_doc(_StateFile(state_path.read_bytes(), state_path), backend)
+                file = _StateFile(state_path.read_bytes(), state_path)
+                version = _encode(file.state.get("version")).decode()  # "null" if it has none
+                if version != str(VERSION):
+                    raise StoreError(f"store {self.root} has version {version}; this build reads {VERSION}")
+                orch = _orchestrator_from_doc(file, backend)
             except (OSError, *_DECODE_ERRORS) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
         self._load_catalog(orch)

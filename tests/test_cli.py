@@ -12,10 +12,12 @@ import json
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -141,6 +143,19 @@ class TestGoldenSession:
                            for path in root.rglob("*") if path.is_file()})
         assert "state.json" in {str(path) for path in stores[0]}
         assert stores[0] == stores[1]
+
+    def test_no_file_but_the_lock_is_readable_by_others(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            run_golden_session(str(tmp_path / "store"))
+        finally:
+            os.umask(previous)
+        root = tmp_path / "store"
+        modes = {path.relative_to(root).as_posix(): path.stat().st_mode & 0o777
+                 for path in root.rglob("*") if path.is_file()}
+        assert modes.pop(".lock") == 0o644
+        assert "state.json" in modes and "state.json.tmp" in modes and "catalog/vnfd-wg-gw.json" in modes
+        assert {name: mode for name, mode in modes.items() if mode & 0o077} == {}
 
     def test_one_process_per_command(self, tmp_path):
         # no state may survive between commands except what the store holds
@@ -569,6 +584,61 @@ class TestProcessHygiene:
             run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "20")
         assert _tx_counters(root) == [count + 5 for count in before]
 
+    def test_a_bench_sent_sigterm_saves_the_counters_it_sealed_and_exits_143(self, tmp_path):
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen([sys.executable, "-m", "slicevpn.cli", "--store", str(root),
+                               "bench", "ns-1", "throughput", "--duration", "5"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as bench:
+            time.sleep(1.5)
+            bench.send_signal(signal.SIGTERM)
+            out, err = bench.communicate(timeout=60)
+        assert (bench.returncode, out, err) == (143, b"", b"")  # no traceback, no report
+        after = _tx_counters(root)
+        assert all(new > old for new, old in zip(after, before)) and len(after) == len(before) == 2
+
+    @pytest.mark.parametrize("during_run", [True, False])
+    def test_a_sigterm_during_the_save_waits_until_it_is_done(self, tmp_path, monkeypatch, during_run):
+        # the save follows a bench cut short by a first SIGTERM, or one that ran to its end
+        root = save_peered_store(tmp_path / "s", count=1).root
+        before = _tx_counters(root)
+        run_latency, save = cli_module.run_latency, Store.save
+
+        def five_echoes(pair, n_requests, timeout_s):
+            result = run_latency(pair, 5, timeout_s)
+            if during_run:
+                signal.raise_signal(signal.SIGTERM)
+            return result
+
+        def save_sent_sigterm(store, orch):
+            signal.raise_signal(signal.SIGTERM)
+            save(store, orch)
+
+        monkeypatch.setattr(cli_module, "run_latency", five_echoes)
+        monkeypatch.setattr(Store, "save", save_sent_sigterm)
+        received = []
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        handler = lambda signum, frame: received.append(signum)  # noqa: E731
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            status, out, err = run_cli("--store", str(root), "bench", "ns-1", "latency", "--requests", "5")
+            # the one sent during the save came to the handler main found, once main had saved and ended
+            assert received == [signal.SIGTERM]
+            assert signal.getsignal(signal.SIGTERM) is handler
+            assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert (status, err) == ((143, "") if during_run else (0, ""))
+        assert ("  samples: 5" in out) is not during_run
+        assert _tx_counters(root) == [count + 5 for count in before]
+
+    def test_the_cli_imports_no_key_serialization(self):
+        code = "import sys, slicevpn.cli\nprint('cryptography.hazmat.primitives.serialization' in sys.modules)\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
     def test_a_latency_bench_whose_every_echo_timed_out_is_an_error_that_saves(self, tmp_path, monkeypatch):
         root = save_peered_store(tmp_path / "s", count=1).root
         before = _tx_counters(root)
@@ -675,63 +745,93 @@ class TestDay2Actions:
             assert out == "" and err == f"error: no peer {unknown}\n"
 
 
-# state keys that stores written by earlier versions carry and this one ignores
-DROPPED_KEYS = ("default-profile", "next-vdu", "interface-name", "wall-seconds")
+# each command, with arguments it would run with on a peered store
+EVERY_COMMAND = {
+    "kpi": ["kpi", "ns-1"],
+    "ns-show": ["ns-show", "ns-1"],
+    "ns-action": ["ns-action", "ns-1", "1", "get-public-key"],
+    "ns-create": ["ns-create", "wg-vpn"],
+    "ns-delete": ["ns-delete", "ns-1"],
+    "onboard": ["onboard", str(SAMPLES / "vnfd-test-host.yaml")],
+    "bench": ["bench", "ns-1", "latency", "--requests", "5"],
+    "validate": ["validate", str(SAMPLES / "nsd-wireguard-vpn.yaml")],
+    "slice-create": ["slice-create", "vpn-slice"],
+}
 
 
-def _add_dropped_keys(root: Path):
-    """Rewrite the store's state.json as an earlier version wrote it."""
+@pytest.fixture(scope="module")
+def versioned_template(tmp_path_factory) -> Path:
+    """A peered one-instance store with every file a command leaves: the
+    catalog, ``state.json``, its shadow and the lock file."""
+    root = save_peered_store(tmp_path_factory.mktemp("versioned") / "s", count=1).root
+    assert run_cli("--store", str(root), *EVERY_COMMAND["ns-action"])[0] == 0
+    assert (root / "state.json.tmp").exists() and (root / ".lock").exists()
+    return root
+
+
+def _store_files(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _as_version_1(root: Path):
+    """Rewrite the store's state.json as a version-1 build wrote it: one line,
+    the keys that build kept, sessions as "tx-counters" plus each peer's
+    "rx-watermark", and VNF records without their primitives."""
     path = root / "state.json"
     state = json.loads(path.read_text())
+    state["version"] = 1
     state["default-profile"] = state["instances"][0]["profile"]
     state["vim"]["next-vdu"] = 1
     for instance in state["instances"]:
         instance["wall-seconds"] = 0.25
         for record in instance["vnf-records"]:
-            if record["table"] is not None:
-                record["table"]["interface-name"] = "wg0"
+            del record["config-primitives"]
+            table = record["table"]
+            if table is not None:
+                table["interface-name"] = "wg0"
+                sessions = table.pop("sessions")
+                table["tx-counters"] = {key: tx for key, (tx, _) in sessions.items()}
+                for peer in table["peers"]:
+                    peer["rx-watermark"] = sessions.get(peer["public-key-hex"], [0, 0])[1]
     path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
 
 
-class TestOlderStores:
-    def test_fresh_session_writes_none_of_the_dropped_keys(self, tmp_path):
-        run_golden_session(str(tmp_path / "s"))
-        text = (tmp_path / "s" / "state.json").read_text()
-        assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
+class TestStoreVersion:
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    @pytest.mark.parametrize("version", [1, 99, None])
+    def test_a_store_of_another_version_is_one_error_line_and_stays_as_it_was(
+            self, tmp_path, versioned_template, command, version):
+        root = tmp_path / "s"
+        shutil.copytree(versioned_template, root)
+        path = root / "state.json"
+        data = path.read_bytes()
+        assert data.count(b',"version":2,') == 1
+        path.write_bytes(data.replace(b',"version":2', b"" if version is None else b',"version":%d' % version))
+        files = _store_files(root)
+        shown = "null" if version is None else version
+        assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
+            (1, "", f"error: store {root} has version {shown}; this build reads 2\n")
+        assert _store_files(root) == files
 
-    def test_store_with_dropped_keys_still_loads(self, tmp_path):
-        for name in ("fresh", "old"):
-            for argv in golden_session(str(tmp_path / name))[:-2]:  # all but kpi, ns-show
-                assert run_cli(*argv)[0] == 0, argv
-        old = tmp_path / "old"
-        _add_dropped_keys(old)
-        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"]):
-            fresh_run = run_cli("--store", str(tmp_path / "fresh"), *argv)
-            assert fresh_run[0] == 0
-            assert run_cli("--store", str(old), *argv) == fresh_run, argv
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_a_store_a_version_1_build_wrote_is_refused(self, tmp_path, versioned_template, command):
+        root = tmp_path / "s"
+        shutil.copytree(versioned_template, root)
+        _as_version_1(root)
+        files = _store_files(root)
+        assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
+            (1, "", f"error: store {root} has version 1; this build reads 2\n")
+        assert _store_files(root) == files
 
-        # save -> load -> save is stable; the untouched instance keeps its document
-        Store(old).save(Store(old).load())
-        first = (old / "state.json").read_bytes()
-        Store(old).save(Store(old).load())
-        assert (old / "state.json").read_bytes() == first
-        assert b'"default-profile"' not in first and b'"next-vdu"' not in first
-        assert _instance_documents(old)["ns-1"]["wall-seconds"] == 0.25
 
-        status, out, err = run_cli("--store", str(old), "ns-action", "ns-1", "1", "add-peer",
-                                   "--param", f"public-key={generate_keypair(bytes([9]) * 32).public_b64}",
-                                   "--param", "allowed-ips=10.9.0.0/24")
-        assert status == 0 and out.startswith("ok duration=60s"), err
-        text = (old / "state.json").read_text()
-        assert [key for key in DROPPED_KEYS if f'"{key}"' in text] == []
-
+class TestHandEditedStores:
     def test_other_json_layouts_load_and_are_rewritten_in_lines(self, tmp_path):
         for argv in golden_session(str(tmp_path / "lines"))[:-2]:  # all but kpi, ns-show
             assert run_cli(*argv)[0] == 0, argv
         value = json.loads((tmp_path / "lines" / "state.json").read_bytes())
         layouts = {
             "indented": json.dumps(value, indent=2) + "\n",  # as `python -m json.tool` leaves it
-            "one-line": json.dumps(value, sort_keys=True, separators=(",", ":")),  # older versions
+            "one-line": json.dumps(value, sort_keys=True, separators=(",", ":")),
             "crlf": (tmp_path / "lines" / "state.json").read_text().replace("\n", "\r\n"),
         }
         for name, text in layouts.items():
@@ -754,7 +854,7 @@ class TestOlderStores:
             assert (tmp_path / name / "state.json").read_bytes() == written, name
 
     def test_catalog_files_written_with_every_optional_key_still_load(self, tmp_path):
-        # an earlier version wrote each catalog file from the parsed fields, defaults spelled out
+        # a catalog file edited by hand, every optional key spelled out with its default
         root = tmp_path / "s"
         save_peered_store(root, count=1)
         host = root / "catalog" / "vnfd-test-host.yaml"
@@ -906,25 +1006,26 @@ class TestDecodeOnDemand:
         assert read == []
         assert (root / "state.json").read_bytes() == before  # refused before anything runs or is saved
 
-    def test_record_from_an_older_store_copies_its_primitives_once(self, tmp_path, monkeypatch):
+    def test_a_record_without_its_primitives_is_corrupt(self, tmp_path, monkeypatch):
+        # a record always holds its primitives; ns-action never looks them up in the catalog
         root = tmp_path / "s"
-        save_peered_store(root)
-        fresh = _instance_documents(root)["ns-2"]["vnf-records"][0]["config-primitives"]
-        state = json.loads((root / "state.json").read_text())
-        for instance in state["instances"]:  # as a store written before records kept them
-            for record in instance["vnf-records"]:
-                del record["config-primitives"]
-        (root / "state.json").write_text(json.dumps(state))
+        save_peered_store(root, count=2)
+        path = root / "state.json"
+        lines = path.read_bytes().split(b"\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"ns-2",'))
+        doc = json.loads(lines[at].rstrip(b","))
+        for record in doc["vnf-records"]:
+            del record["config-primitives"]
+        lines[at] = lines[at].replace(lines[at].rstrip(b","), store_module._line(doc, "id"))
+        path.write_bytes(b"\n".join(lines))
         read = _spy(monkeypatch, "_read_catalog_file")
-        parsed = _spy(monkeypatch, "parse_descriptor")
-        for _ in range(2):
-            status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key")
-            assert status == 0 and "public-key: " in out, err
-            assert read == [root / "catalog" / "vnfd-wg-gw.yaml"]  # the first call's
-            assert parsed == []  # from its compiled form: no YAML parse
-            documents = _instance_documents(root)
-            assert documents["ns-2"]["vnf-records"][0]["config-primitives"] == fresh
-            assert "config-primitives" not in documents["ns-1"]["vnf-records"][0]
+        before = path.read_bytes()
+        assert run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key") == \
+            (1, "", f"error: corrupt state file {path}: instance ns-2: KeyError: 'config-primitives'\n")
+        assert path.read_bytes() == before
+        status, out, err = run_cli("--store", str(root), "ns-action", "ns-1", "1", "get-public-key")
+        assert status == 0 and "public-key: " in out, err
+        assert read == []
 
     def test_delete_re_encodes_only_its_vim_entries(self, tmp_path, monkeypatch):
         root = tmp_path / "s"

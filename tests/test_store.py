@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import (EAST_PEER_PARAMS, create_vpn_instance, make_orchestrator, peer_gateways, sample_text,
                       save_peered_store)
 from slicevpn import store as store_module
-from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected, generate_keypair
+from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
 from slicevpn.descriptors import descriptor_from_doc, parse_descriptor, serialize_descriptor
 from slicevpn.lifecycle import ADMIN, Actor, Orchestrator
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
@@ -131,53 +131,26 @@ class TestRoundTrip:
                     east2.receive(envelope, outer)
         assert east2.endpoint_of(west.public_key) == home
 
-    def test_a_store_with_tx_counters_and_rx_watermarks_still_loads(self, tmp_path):
+    def test_a_version_1_store_with_tx_counters_and_rx_watermarks_is_refused(self, tmp_path, monkeypatch):
         # the table layout before sessions: "tx-counters" plus each peer's "rx-watermark"
-        orch = make_orchestrator()
-        instance_id = create_vpn_instance(orch)
-        peer_gateways(orch, instance_id)
-        instance = orch.instances[instance_id]
-        west, east = instance.record(1).table, instance.record(2).table
-        home = Endpoint("192.168.100.1", 51820)
-        gone = generate_keypair(b"\x0f" * 32).public
-        west.add_peer(gone, ["10.9.0.0/24"], Endpoint("192.168.100.9", 51820))
-        west.send(PlainPacket("10.100.0.1", "10.9.0.1", b"x"))
-        west.del_peer(gone)  # a send counter with no peer entry
-        for payload in (b"a", b"b"):
-            accepted, _ = west.send(PlainPacket("10.100.0.1", "10.100.0.2", payload))
-            east.receive(accepted, home)
-        reply, _ = east.send(PlainPacket("10.100.0.2", "10.100.0.1", b"c"))
-        west.receive(reply, Endpoint("192.168.100.2", 51820))
-        store = Store(tmp_path / "s")
-        store.save(orch)
+        store = build_and_save(tmp_path / "s")
         path = tmp_path / "s" / STATE_FILE
         state = json.loads(path.read_bytes())
-        expected = {}
-        for index, record in enumerate(state["instances"][0]["vnf-records"]):
+        state["version"] = 1
+        for record in state["instances"][0]["vnf-records"]:
             if record["table"] is not None:
-                sessions = expected[index] = record["table"].pop("sessions")
-                record["table"]["tx-counters"] = {key: tx for key, (tx, _) in sessions.items()}
+                del record["table"]["sessions"]
+                record["table"]["tx-counters"] = {peer["public-key-hex"]: 3 for peer in record["table"]["peers"]}
                 for peer in record["table"]["peers"]:
-                    peer["rx-watermark"] = sessions[peer["public-key-hex"]][1]
-        assert sorted(expected) == [0, 1] and all(tx and rx for tx, rx in expected[1].values())
+                    peer["rx-watermark"] = 2
         path.write_bytes(_laid_out_in_lines(state))
-
-        reloaded = store.load()
-        records = reloaded.instances[instance_id].vnf_records
-        for index, sessions in expected.items():
-            table = records[index].table
-            assert {key.hex(): [s.tx, s.rx] for key, s in table.sessions.items()} == sessions
-            assert all(s.send_key is None for s in table.sessions.values())  # a load derives nothing
-        with pytest.raises(ReplayRejected):
-            records[1].table.receive(accepted, home)
-        fresh, _ = records[0].table.send(PlainPacket("10.100.0.1", "10.100.0.2", b"d"))
-        assert fresh.counter == accepted.counter + 1
-        store.save(reloaded)
-        tables = [r["table"] for r in json.loads(path.read_bytes())["instances"][0]["vnf-records"]
-                  if r["table"] is not None]
-        assert len(tables) == 2
-        assert all("sessions" in t and "tx-counters" not in t for t in tables)
-        assert not any("rx-watermark" in peer for t in tables for peer in t["peers"])
+        before = path.read_bytes()
+        decoded = []
+        monkeypatch.setattr(store_module, "_instance_from_doc", lambda *args, **kw: decoded.append(args))
+        with pytest.raises(StoreError) as refused:
+            store.load()
+        assert str(refused.value) == f"store {tmp_path / 's'} has version 1; this build reads 2"
+        assert decoded == [] and path.read_bytes() == before
 
     def test_ids_continue_after_reload(self, tmp_path):
         store = build_and_save(tmp_path / "s")
@@ -188,6 +161,7 @@ class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         store = build_and_save(tmp_path / "s")
         first = (tmp_path / "s" / STATE_FILE).read_bytes()
+        assert json.loads(first)["version"] == store_module.VERSION == 2
         store.save(store.load())
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
 
@@ -597,6 +571,36 @@ class TestCompiledCatalog:
         store.save(orch)
         store.save(orch)  # the catalog is unchanged: nothing but the state is written again
         assert written == ["vnfd-wg-gw.yaml", "vnfd-wg-gw.json", STATE_FILE, STATE_FILE]
+
+
+class TestVersion:
+    @pytest.mark.parametrize("value, shown", [(1, "1"), (99, "99"), (3, "3"), ("2", '"2"'), (2.0, "2.0"),
+                                              (True, "true"), (None, "null")])
+    def test_a_store_of_another_version_is_refused_before_anything_decodes(self, tmp_path, monkeypatch,
+                                                                            value, shown):
+        store = build_and_save(tmp_path / "s")
+        path = tmp_path / "s" / STATE_FILE
+        state = json.loads(path.read_bytes())
+        state["version"] = value
+        path.write_bytes(_laid_out_in_lines(state))
+        before = path.read_bytes()
+        decoded = []
+        monkeypatch.setattr(store_module, "_orchestrator_from_doc", lambda *args: decoded.append(args))
+        with pytest.raises(StoreError) as refused:
+            store.load()
+        assert str(refused.value) == f"store {tmp_path / 's'} has version {shown}; this build reads 2"
+        assert decoded == [] and path.read_bytes() == before
+
+    def test_a_store_with_no_version_is_refused(self, tmp_path):
+        store = build_and_save(tmp_path / "s")
+        path = tmp_path / "s" / STATE_FILE
+        state = json.loads(path.read_bytes())
+        del state["version"]
+        path.write_text(json.dumps(state, indent=1))  # laid out in lines as it loads, then refused
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match=r"has version null; this build reads 2$"):
+            store.load()
+        assert path.read_bytes() == before
 
 
 class TestLocking:
