@@ -26,7 +26,7 @@ from slicevpn.descriptors import load_strict_yaml, parse_descriptor, validate_ca
 from slicevpn.errors import SliceVpnError
 from slicevpn.kpi import TunnelPair, measure_kpis, report, run_latency, run_throughput
 from slicevpn.lifecycle import export_event_log, unbind_gateway
-from slicevpn.store import Store, loaded
+from slicevpn.store import Store, StoreError, loaded
 from slicevpn.transport import UdpBackend, parse_decimal
 from slicevpn.vimsim import VimError, format_seconds, load_timing_profile
 
@@ -247,7 +247,7 @@ def cmd_ns_show(orch, args) -> int:
                 "vnfd": r.vnfd_id,
                 "mgmt": r.mgmt_address,
                 "vdus": r.vdu_ids,
-                "public-key": r.table.public_key_b64 if r.table else None,
+                "public-key": r.public_key_b64,
             }
             for r in instance.vnf_records
         ]
@@ -258,7 +258,7 @@ def cmd_ns_show(orch, args) -> int:
     print(f"instance {instance.id} nsd={instance.nsd_id} state={instance.state}")
     print("members:")
     for r in instance.vnf_records:
-        pub = f" public-key={r.table.public_key_b64}" if r.table else ""
+        pub = f" public-key={r.public_key_b64}" if r.public_key_b64 is not None else ""
         print(f"  member {r.member_index} vnfd={r.vnfd_id} mgmt={r.mgmt_address} "
               f"vdus={','.join(r.vdu_ids)}{pub}")
     print("networks:")
@@ -361,9 +361,10 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with redirect_stdout(out):
                     status = _COMMANDS[args.command](orch, args)
-            except BaseException:
-                # a bench cut short keeps the counters it sealed, or the next would seal them again
-                if args.command == "bench":
+            except BaseException as exc:
+                # a bench cut short keeps the counters it sealed, or the next would seal them again;
+                # a corrupt table fails it before it seals anything, and the store is left as it is
+                if args.command == "bench" and not isinstance(exc, StoreError):
                     store.save(orch)
                 raise
             else:

@@ -58,6 +58,9 @@ _SLICE_PARAM_KEY_RE = re.compile(r"^ns\.(?P<pos>[1-9][0-9]*)\.(?P<rest>.+)$")
 
 TENANT_OPERATIONS = frozenset({"ns_action", "ns_show"})
 
+_GATEWAY_ACTIONS = ("add-peer", "del-peer", "get-public-key", "start-wg", "stop-wg")
+_TABLE_ACTIONS = ("add-peer", "del-peer", "start-wg")  # those that read the table, not only its public key
+
 
 class LifecycleError(SliceVpnError):
     """Orchestration-level failure (bad request, unresolved refs, bad state)."""
@@ -140,6 +143,11 @@ class VnfRecord:
     transport_scope: str = ""  # the tunnel network this gateway's endpoint lives on
     executed_primitives: list[ExecutedPrimitive] = field(default_factory=list)
     initial_count: int = 0  # first N executed_primitives are Day-1
+
+    @property
+    def public_key_b64(self) -> str | None:
+        """The gateway's public key, or None if the member is no gateway."""
+        return self.table.public_key_b64 if self.table is not None else None
 
     def first_action(self, name: str) -> ExecutedPrimitive | None:
         for p in self.executed_primitives[self.initial_count:]:
@@ -479,6 +487,8 @@ class Orchestrator:
                 f"action {action!r} is not declared by vnfd {record.vnfd_id!r} config-primitives")
         params = dict(params or {})
         self._typecheck_params(declared[action], params)
+        # read before anything is logged: a table that cannot be read fails the request, not the action
+        table = record.table if action in _TABLE_ACTIONS else None
 
         duration = instance.profile.primitive_duration(action)
         started = self.clock.now
@@ -486,7 +496,7 @@ class Orchestrator:
         self._emit(instance, "VCA", f"action-start member={member} name={action}")
         finished = self.clock.advance(duration)
         try:
-            output = self._run_day2_action(record, action, params)
+            output = self._run_day2_action(record, table, action, params)
         except SliceVpnError as exc:
             record.executed_primitives.append(ExecutedPrimitive(
                 action, params, started, finished, f"error: {exc}"))
@@ -512,9 +522,10 @@ class Orchestrator:
             except SliceVpnError as exc:
                 raise LifecycleError(f"bad param {key!r}: {exc}") from exc
 
-    def _run_day2_action(self, record: VnfRecord, action: str, params: dict[str, str]) -> dict[str, str]:
-        table = record.table
-        if action in ("add-peer", "del-peer", "get-public-key", "start-wg", "stop-wg") and table is None:
+    def _run_day2_action(self, record: VnfRecord, table: CryptokeyRoutingTable | None, action: str,
+                         params: dict[str, str]) -> dict[str, str]:
+        """Run `action` on `record`; `table` is the record's, read for an action in ``_TABLE_ACTIONS``."""
+        if action in _GATEWAY_ACTIONS and record.public_key_b64 is None:
             raise LifecycleError(f"member {record.member_index} is not a gateway (no cryptokey table)")
         if action == "add-peer":
             if "public-key" not in params or "allowed-ips" not in params:
@@ -532,7 +543,7 @@ class Orchestrator:
             table.del_peer(key_from_base64(params["public-key"]))
             return {}
         if action == "get-public-key":
-            return {"public-key": table.public_key_b64}
+            return {"public-key": record.public_key_b64}
         if action == "start-wg":
             self._bind_gateway(record)
             return {}

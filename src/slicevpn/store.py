@@ -37,10 +37,17 @@ cut off midway leaves every file whole, old or new. A shadow holds its
 file's previous contents, ``state.json``'s private keys included, until the
 next save. A VNF record keeps the Day-2
 primitives its VNFD declares, so ``ns-action`` reads no catalog file. A
+gateway table keeps its public key beside its private key
+(``public-key-hex``), so loading derives no key. A loaded record's table
+stays its line's document until a command reads the table
+(``_LoadedRecord``): ``kpi``, ``ns-show`` and ``get-public-key`` decode
+none, a gateway saved as bound is re-bound from the listen endpoint in that
+document, and a save writes a table never decoded back as it was loaded. A
 corrupt document line or catalog file fails only the commands that touch
-it (a line whose key cannot be read, only those that index the file), and
-``bench`` binds only the touched instance's gateway sockets, on loopback
-UDP; the CLI closes them after the save.
+it (a line whose key cannot be read, only those that index the file), and a
+corrupt table only those that read it (``add-peer``, ``del-peer``,
+``start-wg``, ``bench``); ``bench`` binds only the touched instance's
+gateway sockets, on loopback UDP; the CLI closes them after the save.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -63,7 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from slicevpn.cryptokey import CryptokeyRoutingTable, PeerEntry, Session, generate_keypair
+from slicevpn.cryptokey import CryptokeyRoutingTable, KeyPair, PeerEntry, Session, key_to_base64
 from slicevpn.descriptors import (Descriptor, DescriptorError, PrimitiveParam, PrimitiveSpec,
                                   descriptor_from_doc, parse_descriptor, serialize_descriptor)
 from slicevpn.errors import SliceVpnError
@@ -90,7 +97,7 @@ from slicevpn.vimsim import (
 STATE_FILE = "state.json"
 CATALOG_DIR = "catalog"
 LOCK_FILE = ".lock"
-VERSION = 2  # of state.json's layout: a store of any other version is refused, never read or rewritten
+VERSION = 3  # of state.json's layout: a store of any other version is refused, never read or rewritten
 
 
 class StoreError(SliceVpnError):
@@ -135,6 +142,7 @@ def _profile_from_doc(doc: dict) -> TimingProfile:
 def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
     return {
         "private-key-hex": table.local_keypair.private.hex(),
+        "public-key-hex": table.public_key.hex(),
         "listen-endpoint": _endpoint(table.listen_endpoint),
         "tunnel-address": table.tunnel_address,
         "sessions": {key.hex(): [session.tx, session.rx] for key, session in table.sessions.items()},
@@ -149,9 +157,17 @@ def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
     }
 
 
+def _key(text: str) -> bytes:
+    key = bytes.fromhex(text)
+    if len(key) != 32:
+        raise ValueError(f"a key is 32 bytes, not {len(key)}")
+    return key
+
+
 def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
+    """The table, its keypair as stored: no key is derived on load."""
     table = CryptokeyRoutingTable(
-        local_keypair=generate_keypair(bytes.fromhex(doc["private-key-hex"])),
+        local_keypair=KeyPair(private=_key(doc["private-key-hex"]), public=_key(doc["public-key-hex"])),
         listen_endpoint=_unendpoint(doc["listen-endpoint"]),
         tunnel_address=doc["tunnel-address"],
     )
@@ -168,7 +184,45 @@ def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
     return table
 
 
+class _LoadedRecord(VnfRecord):
+    """A VNF record read from a ``state.json`` line. Its table stays the
+    line's document (``table_doc``) until ``table`` is first read, and a save
+    writes an undecoded one back as it was loaded; its public key is read
+    with the record, so showing it decodes no table. A table that cannot be
+    decoded raises ``StoreError`` naming ``describe``, as ``LazyDocuments``
+    does for a document."""
+
+    def __init__(self, table_doc: dict | None, describe: str, **fields):
+        super().__init__(**fields)  # sets the table to None through the setter
+        self.table_doc, self._describe = table_doc, describe
+        self._public_key = None if table_doc is None else _key(table_doc["public-key-hex"])
+
+    @property
+    def table(self) -> CryptokeyRoutingTable | None:
+        if self.table_doc is not None:
+            try:
+                self._table = _table_from_doc(self.table_doc)
+            except _DECODE_ERRORS as exc:
+                raise StoreError(f"corrupt {self._describe}: {type(exc).__name__}: {exc}") from exc
+            self.table_doc = None
+        return self._table
+
+    @table.setter
+    def table(self, table: CryptokeyRoutingTable | None):
+        self._table, self.table_doc = table, None
+
+    @property
+    def public_key_b64(self) -> str | None:
+        if self.table_doc is None:
+            return super().public_key_b64
+        return key_to_base64(self._public_key)
+
+
 def _record_to_doc(record: VnfRecord) -> dict:
+    if isinstance(record, _LoadedRecord) and record.table_doc is not None:
+        table = record.table_doc  # never decoded: written back as loaded
+    else:
+        table = _table_to_doc(record.table) if record.table is not None else None
     return {
         "member-index": record.member_index,
         "vnfd-id": record.vnfd_id,
@@ -180,7 +234,7 @@ def _record_to_doc(record: VnfRecord) -> dict:
         # each primitive's params as "name:type" words, in order: a record line parses to few objects
         "config-primitives": {p.name: " ".join(f"{q.name}:{q.type}" for q in p.params)
                               for p in record.config_primitives},
-        "table": _table_to_doc(record.table) if record.table is not None else None,
+        "table": table,
         "executed-primitives": [
             {
                 "name": p.name,
@@ -194,8 +248,13 @@ def _record_to_doc(record: VnfRecord) -> dict:
     }
 
 
-def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
-    record = VnfRecord(
+def _record_from_doc(doc: dict, where: str) -> tuple[VnfRecord, Endpoint | None]:
+    """The record, its table undecoded, and the listen endpoint to re-bind
+    if the gateway was bound when it was saved."""
+    table = doc["table"]
+    record = _LoadedRecord(
+        table,
+        f"{where} member {doc['member-index']} table",
         member_index=doc["member-index"],
         vnfd_id=doc["vnfd-id"],
         vdu_ids=list(doc["vdu-ids"]),
@@ -205,7 +264,6 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
         config_primitives=tuple(
             PrimitiveSpec(name, tuple(PrimitiveParam(*word.split(":")) for word in params.split()))
             for name, params in doc["config-primitives"].items()),
-        table=_table_from_doc(doc["table"]) if doc["table"] is not None else None,
         executed_primitives=[
             ExecutedPrimitive(
                 name=p["name"],
@@ -217,7 +275,7 @@ def _record_from_doc(doc: dict) -> tuple[VnfRecord, bool]:
             for p in doc["executed-primitives"]
         ],
     )
-    return record, doc["bound"]
+    return record, _unendpoint(table["listen-endpoint"]) if doc["bound"] and table is not None else None
 
 
 def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
@@ -234,14 +292,16 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
     }
 
 
-def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
+def _instance_from_doc(doc: dict, backend, where: str) -> NetworkServiceInstance:
     """The instance, with the gateways that were bound when it was saved
-    re-bound on `backend` once all of it has decoded. A bind that fails
-    closes those already bound, since the instance is then dropped. A saved
-    instance is Running, Failed or Terminated; any other state is corrupt."""
+    re-bound on `backend` once all of it has decoded, each from the listen
+    endpoint in its table's document. A bind that fails closes those
+    already bound, since the instance is then dropped. A saved instance is
+    Running, Failed or Terminated; any other state is corrupt. `where` (the
+    state file) names a table that fails to decode later."""
     if doc["state"] not in ("Running", "Failed", "Terminated"):
         raise ValueError(f"state {doc['state']!r} is not Running, Failed or Terminated")
-    records = [_record_from_doc(rdoc) for rdoc in doc["vnf-records"]]
+    records = [_record_from_doc(rdoc, f"{where} instance {doc['id']}") for rdoc in doc["vnf-records"]]
     instance = NetworkServiceInstance(
         id=doc["id"],
         nsd_id=doc["nsd-id"],
@@ -254,9 +314,9 @@ def _instance_from_doc(doc: dict, backend) -> NetworkServiceInstance:
         vnf_records=[record for record, _ in records],
     )
     try:
-        for record, bound in records:
-            if bound and record.table is not None:
-                record.handle = backend.bind(record.table.listen_endpoint, record.transport_scope)
+        for record, listen in records:
+            if listen is not None:
+                record.handle = backend.bind(listen, record.transport_scope)
     except BaseException:
         for record in instance.vnf_records:
             unbind_gateway(record)
@@ -667,7 +727,8 @@ def _orchestrator_from_doc(file: _StateFile, backend) -> Orchestrator:
     orch._next_slice_net = state["next-slice-net"]
     for a in state["actors"]:
         orch.register_actor(Actor(a["name"], a["role"], frozenset(a["permitted"])))
-    orch.instances = LazyDocuments(instances, functools.partial(_instance_from_doc, backend=orch.backend),
+    orch.instances = LazyDocuments(instances, functools.partial(_instance_from_doc, backend=orch.backend,
+                                                                where=where),
                                    lambda k: f"{where} instance {k}")
     for sdoc in state["slices"]:
         orch.slices[sdoc["id"]] = SliceInstance(
@@ -756,13 +817,15 @@ class Store:
 
     def _load_catalog(self, orch: Orchestrator):
         catalog_dir = self.root / CATALOG_DIR
-        if not catalog_dir.is_dir():
+        try:  # one listing, no stat per name: each name ending in .yaml, as the glob *.yaml gives them
+            names = sorted(name for name in os.listdir(catalog_dir) if name.endswith(".yaml"))
+        except OSError:  # no catalog directory, or none that can be listed
             return
         # a file's name is its descriptor's (kind, id), so a lookup reads one file
         paths = {}
-        for path in sorted(catalog_dir.glob("*.yaml")):
-            kind, _, id_ = path.stem.partition("-")
-            paths[kind, id_] = path
+        for name in names:
+            kind, _, id_ = os.path.splitext(name)[0].partition("-")  # its stem, as Path.stem reads it
+            paths[kind, id_] = catalog_dir / name
         orch.catalog._entries = LazyDocuments(dict(paths), self._read_descriptor,
                                               lambda key: f"catalog file {paths[key]}")
 

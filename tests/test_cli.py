@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 
 from conftest import STRING_PARAMS_GATEWAY, save_peered_store
 from slicevpn import cli as cli_module
+from slicevpn import cryptokey as cryptokey_module
 from slicevpn import store as store_module
 from slicevpn.cli import main
-from slicevpn.cryptokey import generate_keypair
+from slicevpn.cryptokey import generate_keypair, key_to_base64
 from slicevpn.descriptors import Catalog
 from slicevpn.kpi import BenchResult
 from slicevpn.store import Store
@@ -796,21 +797,37 @@ def _as_version_1(root: Path):
     path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
 
 
+def _as_version_2(root: Path):
+    """Rewrite the store's state.json as a version-2 build wrote it: the
+    same line layout, with no table's public key stored."""
+    path = root / "state.json"
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"ns-1",'))
+    doc = json.loads(lines[at].rstrip(b","))
+    for record in doc["vnf-records"]:
+        if record["table"] is not None:
+            del record["table"]["public-key-hex"]
+    lines[at] = lines[at].replace(lines[at].rstrip(b","), store_module._line(doc, "id"))
+    data = b"\n".join(lines)
+    assert data.count(b',"version":3,') == 1
+    path.write_bytes(data.replace(b',"version":3,', b',"version":2,'))
+
+
 class TestStoreVersion:
     @pytest.mark.parametrize("command", EVERY_COMMAND)
-    @pytest.mark.parametrize("version", [1, 99, None])
+    @pytest.mark.parametrize("version", [1, 2, 99, None])
     def test_a_store_of_another_version_is_one_error_line_and_stays_as_it_was(
             self, tmp_path, versioned_template, command, version):
         root = tmp_path / "s"
         shutil.copytree(versioned_template, root)
         path = root / "state.json"
         data = path.read_bytes()
-        assert data.count(b',"version":2,') == 1
-        path.write_bytes(data.replace(b',"version":2', b"" if version is None else b',"version":%d' % version))
+        assert data.count(b',"version":3,') == 1
+        path.write_bytes(data.replace(b',"version":3', b"" if version is None else b',"version":%d' % version))
         files = _store_files(root)
         shown = "null" if version is None else version
         assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
-            (1, "", f"error: store {root} has version {shown}; this build reads 2\n")
+            (1, "", f"error: store {root} has version {shown}; this build reads 3\n")
         assert _store_files(root) == files
 
     @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -820,7 +837,18 @@ class TestStoreVersion:
         _as_version_1(root)
         files = _store_files(root)
         assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
-            (1, "", f"error: store {root} has version 1; this build reads 2\n")
+            (1, "", f"error: store {root} has version 1; this build reads 3\n")
+        assert _store_files(root) == files
+
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_a_store_a_version_2_build_wrote_is_refused(self, tmp_path, versioned_template, command):
+        # version 2 derived each table's public key from its private key on every load
+        root = tmp_path / "s"
+        shutil.copytree(versioned_template, root)
+        _as_version_2(root)
+        files = _store_files(root)
+        assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
+            (1, "", f"error: store {root} has version 2; this build reads 3\n")
         assert _store_files(root) == files
 
 
@@ -901,6 +929,27 @@ def _spy(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(store_module, name, spy)
     return calls
+
+
+def _spy_on_x25519(monkeypatch) -> list:
+    """Record every X25519 private key made from its bytes: each public key
+    derived and each shared secret computed makes one."""
+    made = []
+    x25519 = cryptokey_module.X25519PrivateKey
+
+    class Spy:
+        @staticmethod
+        def from_private_bytes(data):
+            made.append(len(data))
+            return x25519.from_private_bytes(data)
+
+    monkeypatch.setattr(cryptokey_module, "X25519PrivateKey", Spy)
+    return made
+
+
+def _ns_line(root: Path, ns: str) -> bytes:
+    prefix = b'{"id":"%s",' % ns.encode()
+    return next(line for line in (root / "state.json").read_bytes().split(b"\n") if line.startswith(prefix))
 
 
 def _public_key(result: tuple[int, str, str]) -> str:
@@ -990,6 +1039,51 @@ class TestDecodeOnDemand:
             status, out, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", *argv)
             assert (status, err) == (0, ""), argv
         assert read == [] and looked_up == []
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["kpi", "ns-2"], []),
+        (["ns-show", "ns-2"], [1, 2]),
+        (["--json", "ns-show", "ns-2"], [1, 2]),
+        (["ns-action", "ns-2", "1", "get-public-key"], [1]),
+    ])
+    def test_reads_decode_no_table_and_derive_no_key(self, tmp_path, monkeypatch, argv, shown):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        keys = {r["member-index"]: key_to_base64(bytes.fromhex(r["table"]["public-key-hex"]))
+                for r in _instance_documents(root)["ns-2"]["vnf-records"] if r["table"]}
+        tables = _spy(monkeypatch, "_table_from_doc")
+        derived = _spy_on_x25519(monkeypatch)
+        status, out, err = run_cli("--store", str(root), *argv)
+        assert status == 0, err
+        assert tables == [] and derived == []
+        assert [member for member, key in keys.items() if key in out] == shown
+
+    def test_add_peer_decodes_only_its_members_table(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        records = _instance_documents(root)["ns-2"]["vnf-records"]
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        tables = _spy(monkeypatch, "_table_from_doc")
+        derived = _spy_on_x25519(monkeypatch)
+        status, _, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", "add-peer",
+                                 "--param", f"public-key={third}", "--param", "allowed-ips=10.9.0.0/24")
+        assert (status, err) == (0, "")
+        assert tables == [records[0]["table"]] and derived == []
+        after = _instance_documents(root)["ns-2"]["vnf-records"]
+        assert len(after[0]["table"]["peers"]) == 2 and after[1]["table"] == records[1]["table"]
+        # a new instance's keys are derived as it is made
+        assert run_cli("--store", str(root), "ns-create", "wg-vpn")[0] == 0
+        assert len(derived) == 2
+
+    def test_a_table_never_decoded_is_saved_as_loaded(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        east = _instance_documents(root)["ns-2"]["vnf-records"][1]["table"]
+        assert east is not None
+        table = store_module._encode(east)
+        assert _ns_line(root, "ns-2").count(table) == 1
+        assert run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key")[0] == 0
+        assert _ns_line(root, "ns-2").count(table) == 1
 
     @pytest.mark.parametrize("argv, error", [
         (["reboot"], "action 'reboot' is not declared by vnfd 'wg-gw' config-primitives"),
@@ -1314,6 +1408,38 @@ class TestFailureScope:
         # no line starts with ns-3's key, and adding an instance indexes every line
         self.assert_fails(root, "kpi", "ns-3", prefix="state file")
         self.assert_fails(root, "ns-create", "wg-vpn", prefix="state file")
+
+    def test_corrupt_table_fails_only_commands_that_read_it(self, tmp_path):
+        root, pristine = tmp_path / "s", tmp_path / "pristine"
+        save_peered_store(root, count=2)
+        shutil.copytree(root, pristine)
+        path = root / "state.json"
+        line = _ns_line(root, "ns-1")
+        doc = json.loads(line.removesuffix(b","))
+        doc["vnf-records"][0]["table"]["peers"] = 5
+        path.write_bytes(path.read_bytes().replace(line.removesuffix(b","), store_module._line(doc, "id")))
+        # kpi and ns-show read no table, and get-public-key reads only the key beside it
+        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"],
+                     ["ns-action", "ns-1", "1", "get-public-key"]):
+            expected = run_cli("--store", str(pristine), *argv)
+            assert expected[0] == 0
+            assert run_cli("--store", str(root), *argv) == expected, argv
+        east = _public_key(run_cli("--store", str(root), "ns-action", "ns-1", "2", "get-public-key"))
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        error = (f"error: corrupt state file {path}: instance ns-1 member 1 table: "
+                 "TypeError: 'int' object is not iterable\n")
+        before = path.read_bytes()
+        for argv in (["ns-action", "ns-1", "1", "add-peer", "--param", f"public-key={third}",
+                      "--param", "allowed-ips=10.9.0.0/24"],
+                     ["ns-action", "ns-1", "1", "del-peer", "--param", f"public-key={east}"],
+                     ["bench", "ns-1", "latency", "--requests", "5"]):
+            assert run_cli("--store", str(root), *argv) == (1, "", error), argv
+            assert path.read_bytes() == before, argv
+        # member 2's table and the other instance still work; member 1's table is saved as loaded
+        self.assert_works(root, "ns-action", "ns-1", "2", "add-peer", "--param", f"public-key={third}",
+                          "--param", "allowed-ips=10.9.0.0/24")
+        self.assert_works(root, "bench", "ns-2", "latency", "--requests", "5")
+        assert _instance_documents(root)["ns-1"]["vnf-records"][0]["table"]["peers"] == 5
 
     @pytest.mark.parametrize("state", ["DeployingInfra", "Bogus"])
     def test_instance_state_no_command_leaves(self, tmp_path, state):

@@ -149,7 +149,7 @@ class TestRoundTrip:
         monkeypatch.setattr(store_module, "_instance_from_doc", lambda *args, **kw: decoded.append(args))
         with pytest.raises(StoreError) as refused:
             store.load()
-        assert str(refused.value) == f"store {tmp_path / 's'} has version 1; this build reads 2"
+        assert str(refused.value) == f"store {tmp_path / 's'} has version 1; this build reads 3"
         assert decoded == [] and path.read_bytes() == before
 
     def test_ids_continue_after_reload(self, tmp_path):
@@ -161,7 +161,7 @@ class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         store = build_and_save(tmp_path / "s")
         first = (tmp_path / "s" / STATE_FILE).read_bytes()
-        assert json.loads(first)["version"] == store_module.VERSION == 2
+        assert json.loads(first)["version"] == store_module.VERSION == 3
         store.save(store.load())
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
 
@@ -573,8 +573,23 @@ class TestCompiledCatalog:
         assert written == ["vnfd-wg-gw.yaml", "vnfd-wg-gw.json", STATE_FILE, STATE_FILE]
 
 
+class TestCatalogListing:
+    def test_only_yaml_names_are_listed_in_name_order(self, tmp_path):
+        catalog = tmp_path / "s" / "catalog"
+        catalog.mkdir(parents=True)
+        for name in ("vnfd-x.yaml", "vnfd-x.yaml.tmp", "vnfd-x.yaml.old", "vnfd-x.json",
+                     ".vnfd-hidden.yaml", "nsd-a.yaml"):
+            (catalog / name).write_text("kind: vnfd\n")
+        entries = Store(tmp_path / "s").load().catalog._entries
+        assert dict(entries.loaded) == {(".vnfd", "hidden"): catalog / ".vnfd-hidden.yaml",
+                                        ("nsd", "a"): catalog / "nsd-a.yaml",
+                                        ("vnfd", "x"): catalog / "vnfd-x.yaml"}
+        # as the glob *.yaml lists them, dotfiles included
+        assert list(entries.loaded.values()) == sorted(catalog.glob("*.yaml"))
+
+
 class TestVersion:
-    @pytest.mark.parametrize("value, shown", [(1, "1"), (99, "99"), (3, "3"), ("2", '"2"'), (2.0, "2.0"),
+    @pytest.mark.parametrize("value, shown", [(1, "1"), (2, "2"), (99, "99"), ("3", '"3"'), (3.0, "3.0"),
                                               (True, "true"), (None, "null")])
     def test_a_store_of_another_version_is_refused_before_anything_decodes(self, tmp_path, monkeypatch,
                                                                             value, shown):
@@ -588,7 +603,7 @@ class TestVersion:
         monkeypatch.setattr(store_module, "_orchestrator_from_doc", lambda *args: decoded.append(args))
         with pytest.raises(StoreError) as refused:
             store.load()
-        assert str(refused.value) == f"store {tmp_path / 's'} has version {shown}; this build reads 2"
+        assert str(refused.value) == f"store {tmp_path / 's'} has version {shown}; this build reads 3"
         assert decoded == [] and path.read_bytes() == before
 
     def test_a_store_with_no_version_is_refused(self, tmp_path):
@@ -598,7 +613,7 @@ class TestVersion:
         del state["version"]
         path.write_text(json.dumps(state, indent=1))  # laid out in lines as it loads, then refused
         before = path.read_bytes()
-        with pytest.raises(StoreError, match=r"has version null; this build reads 2$"):
+        with pytest.raises(StoreError, match=r"has version null; this build reads 3$"):
             store.load()
         assert path.read_bytes() == before
 
