@@ -131,7 +131,8 @@ def measure_kpis(instance: NetworkServiceInstance) -> KpiRecord:
         if first is not None:
             add_peer_durations.append(first.duration)
         for prim in record.executed_primitives[record.initial_count:]:
-            per_action.setdefault(prim.name, prim.duration)
+            if prim.name not in per_action:  # a duration is a Fraction subtraction: only the first is kept
+                per_action[prim.name] = prim.duration
     dpd = initial_span + (max(add_peer_durations) if add_peer_durations else Fraction(0))
     return KpiRecord(opd_s=opd, dpd_s=dpd, per_action=per_action)
 

@@ -149,6 +149,10 @@ class VnfRecord:
         """The gateway's public key, or None if the member is no gateway."""
         return self.table.public_key_b64 if self.table is not None else None
 
+    def log(self, primitive: ExecutedPrimitive):
+        """Record `primitive` as executed; a loaded record (``store``) appends it to its undecoded history."""
+        self.executed_primitives.append(primitive)
+
     def first_action(self, name: str) -> ExecutedPrimitive | None:
         for p in self.executed_primitives[self.initial_count:]:
             if p.name == name:
@@ -173,6 +177,10 @@ class NetworkServiceInstance:
             if r.member_index == member_index:
                 return r
         raise LifecycleError(f"instance {self.id} has no member {member_index}")
+
+    def log(self, event: Event):
+        """Append `event` to the log; a loaded instance (``store``) appends it to its undecoded log."""
+        self.events.append(event)
 
 
 @dataclass
@@ -274,7 +282,7 @@ class Orchestrator:
     def _emit(self, instance: NetworkServiceInstance, source: str, message: str):
         # the export format is line-delimited; never let a value break it
         message = message.replace("\n", " ").replace("\r", " ")
-        instance.events.append(Event(self.clock.now, source, message))
+        instance.log(Event(self.clock.now, source, message))
 
     # -- Day-1 --
 
@@ -405,8 +413,7 @@ class Orchestrator:
                     try:
                         self._run_initial_primitive(record, prim.name, values)
                     except SliceVpnError as exc:
-                        record.executed_primitives.append(ExecutedPrimitive(
-                            prim.name, {}, started, finished, f"error: {exc}"))
+                        record.log(ExecutedPrimitive(prim.name, {}, started, finished, f"error: {exc}"))
                         record.initial_count = len(record.executed_primitives)
                         # earlier members' chains may extend past this failure point
                         events.append(Event(max(finished, *(e.ts for chain in chains for e in chain)), "VCA",
@@ -414,8 +421,7 @@ class Orchestrator:
                         raise LifecycleError(
                             f"initial primitive {prim.name!r} failed on member "
                             f"{record.member_index}: {exc}") from exc
-                    record.executed_primitives.append(ExecutedPrimitive(
-                        prim.name, {}, started, finished, "ok"))
+                    record.log(ExecutedPrimitive(prim.name, {}, started, finished, "ok"))
                     events.append(Event(finished, "VCA",
                                         f"primitive-complete {which} duration={format_seconds(duration)}"))
                     started = finished
@@ -498,13 +504,11 @@ class Orchestrator:
         try:
             output = self._run_day2_action(record, table, action, params)
         except SliceVpnError as exc:
-            record.executed_primitives.append(ExecutedPrimitive(
-                action, params, started, finished, f"error: {exc}"))
+            record.log(ExecutedPrimitive(action, params, started, finished, f"error: {exc}"))
             self._emit(instance, "VCA", f"action-failed member={member} name={action}")
             return ActionResult(action=action, status="error", output={},
                                 duration=finished - started, message=str(exc))
-        record.executed_primitives.append(ExecutedPrimitive(
-            action, params, started, finished, "ok"))
+        record.log(ExecutedPrimitive(action, params, started, finished, "ok"))
         self._emit(instance, "VCA",
                    f"action-complete member={member} name={action} "
                    f"duration={format_seconds(finished - started)}")

@@ -38,16 +38,21 @@ file's previous contents, ``state.json``'s private keys included, until the
 next save. A VNF record keeps the Day-2
 primitives its VNFD declares, so ``ns-action`` reads no catalog file. A
 gateway table keeps its public key beside its private key
-(``public-key-hex``), so loading derives no key. A loaded record's table
-stays its line's document until a command reads the table
-(``_LoadedRecord``): ``kpi``, ``ns-show`` and ``get-public-key`` decode
-none, a gateway saved as bound is re-bound from the listen endpoint in that
-document, and a save writes a table never decoded back as it was loaded. A
-corrupt document line or catalog file fails only the commands that touch
-it (a line whose key cannot be read, only those that index the file), and a
-corrupt table only those that read it (``add-peer``, ``del-peer``,
-``start-wg``, ``bench``); ``bench`` binds only the touched instance's
-gateway sockets, on loopback UDP; the CLI closes them after the save.
+(``public-key-hex``), so loading derives no key. A loaded instance's event
+log and profile, and each record's table, Day-2 declarations and executed
+primitives, stay the line's JSON until read (``_Undecoded``); a save writes
+one never decoded back as loaded, and an event or primitive logged onto one
+is appended as its row. So a Day-2 action decodes the profile and its
+member's declarations (and, for ``add-peer``, ``del-peer`` and
+``start-wg``, its table), ``kpi`` the events and primitives, ``ns-show`` the
+events, and a gateway saved as bound re-binds from its table's JSON. Only ``onboard``, ``validate``,
+``ns-create`` and ``slice-create`` list the catalog directory. A corrupt
+document line or catalog file fails only the commands that touch it (a
+line whose key cannot be read, only those that index the file), and a
+corrupt instance field only those that read or extend it (a table:
+``add-peer``, ``del-peer``, ``start-wg``, ``bench``; the profile: every
+``ns-action``); ``bench`` binds only the touched instance's gateway
+sockets, on loopback UDP; the CLI closes them after the save.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -139,7 +144,9 @@ def _profile_from_doc(doc: dict) -> TimingProfile:
     )
 
 
-def _table_to_doc(table: CryptokeyRoutingTable) -> dict:
+def _table_to_doc(table: CryptokeyRoutingTable | None) -> dict | None:
+    if table is None:
+        return None
     return {
         "private-key-hex": table.local_keypair.private.hex(),
         "public-key-hex": table.public_key.hex(),
@@ -184,45 +191,123 @@ def _table_from_doc(doc: dict) -> CryptokeyRoutingTable:
     return table
 
 
-class _LoadedRecord(VnfRecord):
-    """A VNF record read from a ``state.json`` line. Its table stays the
-    line's document (``table_doc``) until ``table`` is first read, and a save
-    writes an undecoded one back as it was loaded; its public key is read
-    with the record, so showing it decodes no table. A table that cannot be
-    decoded raises ``StoreError`` naming ``describe``, as ``LazyDocuments``
-    does for a document."""
+def _config_primitives_to_doc(specs: tuple[PrimitiveSpec, ...]) -> dict:
+    # each primitive's params as "name:type" words, in order: a record line parses to few objects
+    return {p.name: " ".join(f"{q.name}:{q.type}" for q in p.params) for p in specs}
 
-    def __init__(self, table_doc: dict | None, describe: str, **fields):
-        super().__init__(**fields)  # sets the table to None through the setter
-        self.table_doc, self._describe = table_doc, describe
-        self._public_key = None if table_doc is None else _key(table_doc["public-key-hex"])
 
-    @property
-    def table(self) -> CryptokeyRoutingTable | None:
-        if self.table_doc is not None:
-            try:
-                self._table = _table_from_doc(self.table_doc)
-            except _DECODE_ERRORS as exc:
-                raise StoreError(f"corrupt {self._describe}: {type(exc).__name__}: {exc}") from exc
-            self.table_doc = None
-        return self._table
+def _config_primitives_from_doc(doc: dict) -> tuple[PrimitiveSpec, ...]:
+    return tuple(PrimitiveSpec(name, tuple(PrimitiveParam(*word.split(":")) for word in params.split()))
+                 for name, params in doc.items())
 
-    @table.setter
-    def table(self, table: CryptokeyRoutingTable | None):
-        self._table, self.table_doc = table, None
+
+def _executed_primitives_to_doc(primitives: list[ExecutedPrimitive]) -> list[dict]:
+    return [{"name": p.name, "params": p.params, "started-at": _frac(p.started_at),
+             "finished-at": _frac(p.finished_at), "result": p.result} for p in primitives]
+
+
+def _executed_primitives_from_doc(rows: list[dict]) -> list[ExecutedPrimitive]:
+    return [ExecutedPrimitive(name=p["name"], params=dict(p["params"]), started_at=_unfrac(p["started-at"]),
+                              finished_at=_unfrac(p["finished-at"]), result=p["result"]) for p in rows]
+
+
+def _events_to_doc(events: list[Event]) -> list[list]:
+    return [[_frac(e.ts), e.source, e.message] for e in events]
+
+
+def _events_from_doc(rows: list[list]) -> list[Event]:
+    return [Event(_unfrac(ts), source, message) for ts, source, message in rows]
+
+
+class _Undecoded:
+    """A field of a ``_Loaded`` object that stays its line's JSON (in ``docs``
+    under its name) until first read, then is decoded by ``_<name>_from_doc``,
+    looked up when it runs like every decoder here. Until then a save writes it
+    back as loaded (``_field_doc``), and ``append`` adds an item's encoded row
+    (``_<name>_to_doc``) to it. JSON that fails to decode, or is not a list to
+    append to, raises ``StoreError`` naming ``describe`` and the field's key."""
+
+    def __set_name__(self, owner, name: str):
+        self.name, self.key = name, name.replace("_", "-")
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.name in obj.docs:
+            with self._as_store_error(obj):
+                value = globals()[f"_{self.name}_from_doc"](obj.docs[self.name])
+            self.__set__(obj, value)
+        return vars(obj)[self.name]
+
+    def __set__(self, obj, value):
+        vars(obj)[self.name] = value
+        obj.docs.pop(self.name, None)
+
+    def append(self, obj, item):
+        if self.name not in obj.docs:
+            self.__get__(obj).append(item)
+        else:
+            with self._as_store_error(obj):  # += extends a list in place, and raises TypeError for other JSON
+                obj.docs[self.name] += globals()[f"_{self.name}_to_doc"]([item])
+
+    @contextmanager
+    def _as_store_error(self, obj):
+        try:
+            yield
+        except _DECODE_ERRORS as exc:
+            raise StoreError(f"corrupt {obj.describe} {self.key}: {type(exc).__name__}: {exc}") from exc
+
+
+def _field_doc(obj, name: str):
+    """`obj`'s field `name` as saved: as loaded if `obj` is ``_Loaded`` and
+    never decoded it, else encoded by ``_<name>_to_doc``."""
+    docs = getattr(obj, "docs", {})
+    return docs[name] if name in docs else globals()[f"_{name}_to_doc"](getattr(obj, name))
+
+
+class _Loaded:
+    """A dataclass object decoded from a ``state.json`` line but for its
+    ``_Undecoded`` fields in ``docs``; ``describe`` names it in errors."""
+
+    def __init__(self, docs: dict, describe: str, **fields):
+        self.docs, self.describe = {}, describe  # empty while the dataclass sets each field, undecoded ones to None
+        super().__init__(**fields, **dict.fromkeys(docs))
+        self.docs = docs
+
+
+class _LoadedRecord(_Loaded, VnfRecord):
+    """A VNF record read from a ``state.json`` line. Its gateway table, Day-2
+    declarations and executed primitives stay undecoded until read; its
+    public key is read with the record, so showing it decodes no table."""
+
+    table = _Undecoded()
+    config_primitives = _Undecoded()
+    executed_primitives = _Undecoded()
+
+    def __init__(self, docs: dict, describe: str, **fields):
+        super().__init__(docs, describe, **fields)
+        self._public_key = _key(docs["table"]["public-key-hex"]) if "table" in docs else None
 
     @property
     def public_key_b64(self) -> str | None:
-        if self.table_doc is None:
-            return super().public_key_b64
-        return key_to_base64(self._public_key)
+        return key_to_base64(self._public_key) if "table" in self.docs else super().public_key_b64
+
+    def log(self, primitive: ExecutedPrimitive):
+        _LoadedRecord.executed_primitives.append(self, primitive)
+
+
+class _LoadedInstance(_Loaded, NetworkServiceInstance):
+    """An instance read from a ``state.json`` line. Its event log and timing
+    profile stay undecoded until read."""
+
+    events = _Undecoded()
+    profile = _Undecoded()
+
+    def log(self, event: Event):
+        _LoadedInstance.events.append(self, event)
 
 
 def _record_to_doc(record: VnfRecord) -> dict:
-    if isinstance(record, _LoadedRecord) and record.table_doc is not None:
-        table = record.table_doc  # never decoded: written back as loaded
-    else:
-        table = _table_to_doc(record.table) if record.table is not None else None
     return {
         "member-index": record.member_index,
         "vnfd-id": record.vnfd_id,
@@ -231,49 +316,28 @@ def _record_to_doc(record: VnfRecord) -> dict:
         "transport-scope": record.transport_scope,
         "bound": record.handle is not None,
         "initial-count": record.initial_count,
-        # each primitive's params as "name:type" words, in order: a record line parses to few objects
-        "config-primitives": {p.name: " ".join(f"{q.name}:{q.type}" for q in p.params)
-                              for p in record.config_primitives},
-        "table": table,
-        "executed-primitives": [
-            {
-                "name": p.name,
-                "params": p.params,
-                "started-at": _frac(p.started_at),
-                "finished-at": _frac(p.finished_at),
-                "result": p.result,
-            }
-            for p in record.executed_primitives
-        ],
+        "config-primitives": _field_doc(record, "config_primitives"),
+        "table": _field_doc(record, "table"),
+        "executed-primitives": _field_doc(record, "executed_primitives"),
     }
 
 
-def _record_from_doc(doc: dict, where: str) -> tuple[VnfRecord, Endpoint | None]:
-    """The record, its table undecoded, and the listen endpoint to re-bind
-    if the gateway was bound when it was saved."""
+def _record_from_doc(doc: dict, describe: str) -> tuple[VnfRecord, Endpoint | None]:
+    """The record, its table, declarations and executed primitives undecoded,
+    and the listen endpoint to re-bind if the gateway was bound when saved."""
     table = doc["table"]
+    undecoded = {"config_primitives": doc["config-primitives"], "executed_primitives": doc["executed-primitives"]}
+    if table is not None:
+        undecoded["table"] = table
     record = _LoadedRecord(
-        table,
-        f"{where} member {doc['member-index']} table",
+        undecoded,
+        f"{describe} member {doc['member-index']}",
         member_index=doc["member-index"],
         vnfd_id=doc["vnfd-id"],
         vdu_ids=list(doc["vdu-ids"]),
         mgmt_address=doc["mgmt-address"],
         transport_scope=doc["transport-scope"],
         initial_count=doc["initial-count"],
-        config_primitives=tuple(
-            PrimitiveSpec(name, tuple(PrimitiveParam(*word.split(":")) for word in params.split()))
-            for name, params in doc["config-primitives"].items()),
-        executed_primitives=[
-            ExecutedPrimitive(
-                name=p["name"],
-                params=dict(p["params"]),
-                started_at=_unfrac(p["started-at"]),
-                finished_at=_unfrac(p["finished-at"]),
-                result=p["result"],
-            )
-            for p in doc["executed-primitives"]
-        ],
     )
     return record, _unendpoint(table["listen-endpoint"]) if doc["bound"] and table is not None else None
 
@@ -286,8 +350,8 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
         "released": instance.released,
         "params": instance.params,
         "networks": instance.networks,
-        "profile": _profile_to_doc(instance.profile),
-        "events": [[_frac(e.ts), e.source, e.message] for e in instance.events],
+        "profile": _field_doc(instance, "profile"),
+        "events": _field_doc(instance, "events"),
         "vnf-records": [_record_to_doc(r) for r in instance.vnf_records],
     }
 
@@ -298,19 +362,20 @@ def _instance_from_doc(doc: dict, backend, where: str) -> NetworkServiceInstance
     endpoint in its table's document. A bind that fails closes those
     already bound, since the instance is then dropped. A saved instance is
     Running, Failed or Terminated; any other state is corrupt. `where` (the
-    state file) names a table that fails to decode later."""
+    state file) names a field that fails to decode later."""
     if doc["state"] not in ("Running", "Failed", "Terminated"):
         raise ValueError(f"state {doc['state']!r} is not Running, Failed or Terminated")
-    records = [_record_from_doc(rdoc, f"{where} instance {doc['id']}") for rdoc in doc["vnf-records"]]
-    instance = NetworkServiceInstance(
+    describe = f"{where} instance {doc['id']}"
+    records = [_record_from_doc(rdoc, describe) for rdoc in doc["vnf-records"]]
+    instance = _LoadedInstance(
+        {"profile": doc["profile"], "events": doc["events"]},
+        describe,
         id=doc["id"],
         nsd_id=doc["nsd-id"],
         state=doc["state"],
         released=doc["released"],
         params=dict(doc["params"]),
         networks=dict(doc["networks"]),
-        profile=_profile_from_doc(doc["profile"]),
-        events=[Event(_unfrac(ts), source, message) for ts, source, message in doc["events"]],
         vnf_records=[record for record, _ in records],
     )
     try:
@@ -374,7 +439,8 @@ _PLAIN_KEYS = tuple(re.compile(re.escape(prefix) + rb'([^"\\\x00-\x1f]*)"') for 
 
 
 def _encode(value) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+    # a value is a tree, parsed from JSON or built from the objects, so no cycle is looked for
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False).encode("ascii")
 
 
 def _line(doc: dict, key: str) -> bytes:
@@ -569,6 +635,32 @@ def _skeleton(state: dict) -> tuple[bytes, ...]:
 
 def _catalog_name(kind: str, id_: str) -> str:
     return f"{kind}-{id_}.yaml"
+
+
+class _CatalogListing(Mapping):
+    """Each ``*.yaml`` file of a catalog directory by the (kind, id) its name
+    gives, so that a lookup reads one file; the directory is listed on first lookup."""
+
+    def __init__(self, catalog_dir: Path):
+        self.dir = catalog_dir
+
+    @functools.cached_property
+    def paths(self) -> dict[tuple[str, str], Path]:
+        try:  # one listing, no stat per name: each name ending in .yaml, as the glob *.yaml gives them
+            names = sorted(name for name in os.listdir(self.dir) if name.endswith(".yaml"))
+        except OSError:  # no catalog directory, or none that can be listed
+            return {}
+        # (kind, id): its stem, as Path.stem reads it, split at the first "-"
+        return {os.path.splitext(name)[0].partition("-")[::2]: self.dir / name for name in names}
+
+    def __getitem__(self, key) -> Path:
+        return self.paths[key]
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
 
 
 def _compiled(text: str, doc) -> bytes | None:
@@ -797,9 +889,10 @@ class Store:
 
     def load(self, backend=None) -> Orchestrator:
         """Rebuild the orchestrator. Instances, VIM entries and catalog
-        descriptors are decoded on first access (see ``LazyDocuments``); an
-        instance's gateways that were bound re-bind their listen endpoints
-        on the supplied backend then."""
+        descriptors are decoded on first access (see ``LazyDocuments``), and
+        the catalog directory is listed on the first lookup; an instance's
+        gateways that were bound re-bind their listen endpoints on the
+        supplied backend then."""
         state_path = self.root / STATE_FILE
         if not state_path.exists():
             orch = Orchestrator(backend=backend)
@@ -812,22 +905,10 @@ class Store:
                 orch = _orchestrator_from_doc(file, backend)
             except (OSError, *_DECODE_ERRORS) as exc:  # ValueError covers json.JSONDecodeError
                 raise StoreError(f"corrupt state file {state_path}: {type(exc).__name__}: {exc}") from exc
-        self._load_catalog(orch)
+        listing = _CatalogListing(self.root / CATALOG_DIR)
+        orch.catalog._entries = LazyDocuments(listing, self._read_descriptor,
+                                              lambda key: f"catalog file {listing[key]}")
         return orch
-
-    def _load_catalog(self, orch: Orchestrator):
-        catalog_dir = self.root / CATALOG_DIR
-        try:  # one listing, no stat per name: each name ending in .yaml, as the glob *.yaml gives them
-            names = sorted(name for name in os.listdir(catalog_dir) if name.endswith(".yaml"))
-        except OSError:  # no catalog directory, or none that can be listed
-            return
-        # a file's name is its descriptor's (kind, id), so a lookup reads one file
-        paths = {}
-        for name in names:
-            kind, _, id_ = os.path.splitext(name)[0].partition("-")  # its stem, as Path.stem reads it
-            paths[kind, id_] = catalog_dir / name
-        orch.catalog._entries = LazyDocuments(dict(paths), self._read_descriptor,
-                                              lambda key: f"catalog file {paths[key]}")
 
     def _read_descriptor(self, path: Path) -> Descriptor:
         descriptor = self._catalog_files[path.name] = _read_catalog_file(path)

@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1152,6 +1153,96 @@ class TestDecodeOnDemand:
         assert status == 0
         assert sorted(read) == sorted(path for path in catalog.glob("*.yaml") if path.name != "vnfd-spare.yaml")
 
+    def test_day2_actions_decode_no_history_and_only_their_members_declarations(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        before = _instance_documents(root)["ns-2"]
+        records = before["vnf-records"]
+        decoded = {name: _spy(monkeypatch, f"_{name}_from_doc")
+                   for name in ("events", "executed_primitives", "config_primitives", "profile")}
+        east = key_to_base64(bytes.fromhex(records[1]["table"]["public-key-hex"]))
+        third = generate_keypair(b"\x0f" * 32).public_b64
+        for argv in (["get-public-key"], ["del-peer", "--param", f"public-key={east}"],
+                     ["add-peer", "--param", f"public-key={third}", "--param", "allowed-ips=10.9.0.0/24"]):
+            for calls in decoded.values():
+                calls.clear()
+            status, _, err = run_cli("--store", str(root), "ns-action", "ns-2", "1", *argv)
+            assert (status, err) == (0, ""), argv
+            assert decoded == {"events": [], "executed_primitives": [],
+                               "config_primitives": [records[0]["config-primitives"]],
+                               "profile": [before["profile"]]}, argv
+        # each action appended its three events and one primitive to the history as loaded
+        after = _instance_documents(root)["ns-2"]
+        assert after["events"][:len(before["events"])] == before["events"]
+        assert len(after["events"]) == len(before["events"]) + 9
+        west = after["vnf-records"][0]["executed-primitives"]
+        assert west[:len(records[0]["executed-primitives"])] == records[0]["executed-primitives"]
+        assert [p["name"] for p in west[len(records[0]["executed-primitives"]):]] == \
+            ["get-public-key", "del-peer", "add-peer"]
+        assert after["vnf-records"][1:] == records[1:]
+
+    @pytest.mark.parametrize("argv, decoded", [
+        (["kpi", "ns-2"], {"events", "executed_primitives"}),
+        (["ns-show", "ns-2"], {"events"}),
+        (["--json", "ns-show", "ns-2"], set()),
+    ])
+    def test_reads_decode_only_the_fields_they_show(self, tmp_path, monkeypatch, argv, decoded):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        calls = {name: _spy(monkeypatch, f"_{name}_from_doc")
+                 for name in ("events", "executed_primitives", "config_primitives", "profile")}
+        status, _, err = run_cli("--store", str(root), *argv)
+        assert status == 0, err
+        assert {name for name, made in calls.items() if made} == decoded
+
+    def test_only_commands_that_resolve_descriptors_list_the_catalog(self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(store_module.os, "listdir",
+                            lambda path: listed.append(Path(path)) or listdir(path))
+        east = _public_key(run_cli("--store", str(root), "ns-action", "ns-1", "2", "get-public-key"))
+        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"],
+                     ["ns-action", "ns-1", "1", "del-peer", "--param", f"public-key={east}"],
+                     ["ns-delete", "ns-3"]):
+            status, _, err = run_cli("--store", str(root), *argv)
+            assert status == 0, err
+        assert root / "catalog" not in listed
+        for argv in (["onboard", str(SAMPLES / "nsd-consumer.yaml")],
+                     ["validate", str(SAMPLES / "nsd-wireguard-vpn.yaml")],
+                     ["ns-create", "wg-vpn"], ["slice-create", "vpn-slice"]):
+            listed.clear()
+            status, _, err = run_cli("--store", str(root), *argv)
+            assert status == 0, err
+            assert listed.count(root / "catalog") == 1, argv
+
+    def test_hand_written_history_rows_are_saved_as_loaded(self, tmp_path):
+        root = tmp_path / "s"
+        save_peered_store(root)
+        path = root / "state.json"
+        kpi = run_cli("--store", str(root), "kpi", "ns-2")
+        line = _ns_line(root, "ns-2").removesuffix(b",")
+        doc = json.loads(line)
+
+        def unreduced(text: str) -> str:
+            value = Fraction(text)
+            return f"{2 * value.numerator}/{2 * value.denominator}"
+
+        # the rows OPD and DPD start from, each timestamp written as a fraction not in lowest terms
+        start = next(row for row in doc["events"] if row[2] == "deploy-start")
+        start[0] = unreduced(start[0])
+        first = doc["vnf-records"][0]["executed-primitives"][0]
+        first["started-at"] = unreduced(first["started-at"])
+        path.write_bytes(path.read_bytes().replace(line, store_module._line(doc, "id")))
+        assert run_cli("--store", str(root), "kpi", "ns-2") == kpi
+        assert run_cli("--store", str(root), "ns-action", "ns-2", "1", "get-public-key")[0] == 0
+        after = _instance_documents(root)["ns-2"]
+        assert after["events"][:len(doc["events"])] == doc["events"]
+        history = doc["vnf-records"][0]["executed-primitives"]
+        assert after["vnf-records"][0]["executed-primitives"][:len(history)] == history
+        assert run_cli("--store", str(root), "kpi", "ns-2") == kpi  # the first get-public-key stays the one shown
+
     def test_validate_and_ns_show_output_is_unchanged(self, tmp_path):
         # recorded from the store that decoded everything on load
         assert run_inspection_session(tmp_path) == INSPECTION.read_text(encoding="utf-8")
@@ -1440,6 +1531,44 @@ class TestFailureScope:
                           "--param", "allowed-ips=10.9.0.0/24")
         self.assert_works(root, "bench", "ns-2", "latency", "--requests", "5")
         assert _instance_documents(root)["ns-1"]["vnf-records"][0]["table"]["peers"] == 5
+
+    @pytest.mark.parametrize("field, works, fails", [
+        # kpi and ns-show read no profile; every action reads it for its duration
+        ("profile", [["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"]],
+         [["ns-action", "ns-1", "1", "get-public-key"], ["ns-action", "ns-1", "2", "get-public-key"]]),
+        # every action and ns-delete log an event onto it, undecoded
+        ("events", [["--json", "ns-show", "ns-1"]],
+         [["kpi", "ns-1"], ["ns-show", "ns-1"], ["ns-action", "ns-1", "2", "get-public-key"], ["ns-delete", "ns-1"]]),
+        ("member 1 executed-primitives", [["ns-show", "ns-1"], ["ns-action", "ns-1", "2", "get-public-key"]],
+         [["kpi", "ns-1"], ["ns-action", "ns-1", "1", "get-public-key"]]),
+        ("member 1 config-primitives", [["kpi", "ns-1"], ["ns-show", "ns-1"], ["ns-action", "ns-1", "2", "get-public-key"]],
+         [["ns-action", "ns-1", "1", "get-public-key"]]),
+    ])
+    def test_corrupt_instance_field_fails_only_commands_that_read_or_extend_it(self, tmp_path, field, works, fails):
+        root, pristine = tmp_path / "s", tmp_path / "pristine"
+        save_peered_store(root, count=2)
+        shutil.copytree(root, pristine)
+        path = root / "state.json"
+        line = _ns_line(root, "ns-1").removesuffix(b",")
+        doc = json.loads(line)
+        owner = doc["vnf-records"][0] if field.startswith("member 1 ") else doc
+        key = field.removeprefix("member 1 ")
+        owner[key] = 5
+        path.write_bytes(path.read_bytes().replace(line, store_module._line(doc, "id")))
+        before = path.read_bytes()
+        for argv in fails:
+            status, out, err = run_cli("--store", str(root), *argv)
+            assert (status, out) == (1, ""), argv
+            assert err.startswith(f"error: corrupt state file {path}: instance ns-1 {field}: "), argv
+            assert err.count("\n") == 1, argv
+            assert path.read_bytes() == before, argv
+        for argv in works:
+            expected = run_cli("--store", str(pristine), *argv)
+            assert expected[0] == 0
+            assert run_cli("--store", str(root), *argv) == expected, argv
+        saved = _instance_documents(root)["ns-1"]
+        assert (saved if owner is doc else saved["vnf-records"][0])[key] == 5  # written back as loaded
+        self.assert_works(root, "kpi", "ns-2")
 
     @pytest.mark.parametrize("state", ["DeployingInfra", "Bogus"])
     def test_instance_state_no_command_leaves(self, tmp_path, state):
