@@ -7,7 +7,8 @@ prefix) and the packet is sealed for that peer's key; receive-side, a packet
 is accepted only if it authenticates under a known peer's key AND its inner
 source IP resolves back to that same key. The outer source of an
 authenticated packet updates the peer's endpoint, so replies follow a
-roaming peer.
+roaming peer. Allowed-IPs prefixes are held as integers, and a peer's list as
+canonical CIDR texts; canonical input is parsed with no ``ipaddress`` object.
 
 SECURITY MODEL, READ BEFORE REUSE: sessions are derived from the static-
 static X25519 shared secret (HKDF with direction labels) and sealed with
@@ -35,7 +36,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from slicevpn.errors import SliceVpnError
-from slicevpn.transport import Endpoint
+from slicevpn.transport import Endpoint, ipv4_int
 
 WIRE_MAGIC = 0x5747
 WIRE_VERSION = 0x01
@@ -110,10 +111,10 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     return KeyPair(private=seed, public=priv.public_key().public_bytes_raw())
 
 
-def dh(private: bytes, peer_public: bytes) -> bytes:
-    """X25519 shared secret."""
-    priv = X25519PrivateKey.from_private_bytes(private)
-    return priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
+def dh(private: X25519PrivateKey, peer_public: bytes) -> bytes:
+    """X25519 shared secret. `private` is a key object, built once per table:
+    OpenSSL derives the public key again each time one is loaded from bytes."""
+    return private.exchange(X25519PublicKey.from_public_bytes(peer_public))
 
 
 def key_to_base64(public: bytes) -> str:
@@ -198,8 +199,8 @@ class EncryptedEnvelope:
 
 
 class PrefixTable:
-    """IPv4 prefixes in one dict per prefix length, probed longest-first;
-    each exact prefix has one owner key."""
+    """IPv4 prefixes, as (network, length) integers, in one dict per prefix
+    length, probed longest-first; each exact prefix has one owner key."""
 
     def __init__(self):
         self._by_length: dict[int, dict[int, bytes]] = {}
@@ -209,29 +210,27 @@ class PrefixTable:
         self._probes = [((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF, self._by_length[length])
                         for length in sorted(self._by_length, reverse=True)]
 
-    def insert(self, network: ipaddress.IPv4Network, owner: bytes) -> bytes | None:
+    def insert(self, network: int, length: int, owner: bytes) -> bytes | None:
         """Set the prefix owner; returns the displaced owner, if any."""
-        prefixes = self._by_length.get(network.prefixlen)
+        prefixes = self._by_length.get(length)
         if prefixes is None:
-            prefixes = self._by_length[network.prefixlen] = {}
+            prefixes = self._by_length[length] = {}
             self._reindex()
-        address = int(network.network_address)
-        previous = prefixes.get(address)
-        prefixes[address] = owner
+        previous = prefixes.get(network)
+        prefixes[network] = owner
         return previous if previous != owner else None
 
-    def remove(self, network: ipaddress.IPv4Network):
-        prefixes = self._by_length.get(network.prefixlen)
+    def remove(self, network: int, length: int):
+        prefixes = self._by_length.get(length)
         if prefixes is None:
             return
-        prefixes.pop(int(network.network_address), None)
+        prefixes.pop(network, None)
         if not prefixes:
-            del self._by_length[network.prefixlen]
+            del self._by_length[length]
             self._reindex()
 
-    def lookup(self, ip: ipaddress.IPv4Address) -> bytes | None:
-        """Owner of the longest prefix containing ip, or None."""
-        address = int(ip)
+    def lookup(self, address: int) -> bytes | None:
+        """Owner of the longest prefix containing address, or None."""
         for netmask, prefixes in self._probes:
             owner = prefixes.get(address & netmask)
             if owner is not None:
@@ -245,7 +244,7 @@ class PrefixTable:
 @dataclass
 class PeerEntry:
     public_key: bytes
-    allowed_ips: list[ipaddress.IPv4Network]
+    allowed_ips: list[str]  # canonical CIDR texts, as ``str(ipaddress.IPv4Network)`` writes them
     endpoint: Endpoint | None = None
 
 
@@ -260,33 +259,50 @@ class Session:
     recv_key: bytes | None = None
 
 
-def parse_allowed_ips(allowed_ips) -> list[ipaddress.IPv4Network]:
-    """The allowed-IPs list as IPv4 networks; a prefix with host bits set is refused."""
-    networks = []
-    for item in allowed_ips:
-        if isinstance(item, ipaddress.IPv4Network):
-            networks.append(item)
-            continue
-        try:
-            networks.append(ipaddress.IPv4Network(item, strict=True))
-        except ValueError as exc:
-            raise CryptokeyError(f"expected an IPv4 CIDR, got {item!r}") from exc
-    if not networks:
+def parse_prefix(item) -> tuple[str, int, int]:
+    """An allowed-IPs prefix as (canonical text, network, length), accepting
+    and refusing what ``ipaddress.IPv4Network(item, strict=True)`` does, so a
+    prefix with host bits set is refused. ``a.b.c.d/n`` with a canonical
+    address and a decimal length (``/024`` too) builds no ``ipaddress``
+    object; any other form (a netmask, no length, a network object) goes
+    through ``ipaddress``."""
+    if type(item) is str:
+        address, _, digits = item.partition("/")
+        if digits.isascii() and digits.isdigit() and (length := int(digits)) <= 32:
+            try:
+                network = ipv4_int(address)
+            except ValueError:
+                pass
+            else:
+                if network & (0xFFFFFFFF >> length) == 0:
+                    return f"{address}/{length}", network, length
+    try:
+        parsed = ipaddress.IPv4Network(item, strict=True)
+    except ValueError as exc:
+        raise CryptokeyError(f"expected an IPv4 CIDR, got {item!r}") from exc
+    return str(parsed), int(parsed.network_address), parsed.prefixlen
+
+
+def parse_allowed_ips(allowed_ips) -> list[tuple[str, int, int]]:
+    """The allowed-IPs list, each prefix as ``parse_prefix`` gives it."""
+    prefixes = [parse_prefix(item) for item in allowed_ips]
+    if not prefixes:
         raise CryptokeyError("allowed_ips must be non-empty")
-    return networks
+    return prefixes
 
 
 class CryptokeyRoutingTable:
     """One gateway interface's cryptokey state: local keypair, peers (routing
     only) and sessions. A session outlives its peer entry: its keys are static
     per key pair, so a re-added peer must continue both the send counter (no
-    nonce reuse) and the receive watermark (no replay)."""
+    nonce reuse) and the receive watermark (no replay). The private key's
+    X25519 object is built on the first session derived, once per table."""
 
     def __init__(self, local_keypair: KeyPair, listen_endpoint: Endpoint | None = None,
                  tunnel_address: str | None = None):
         if tunnel_address is not None:
             try:
-                ipaddress.IPv4Address(tunnel_address)
+                ipv4_int(tunnel_address)
             except ValueError as exc:
                 raise CryptokeyError(f"invalid tunnel address {tunnel_address!r}") from exc
         self.local_keypair = local_keypair
@@ -295,6 +311,7 @@ class CryptokeyRoutingTable:
         self.peers: dict[bytes, PeerEntry] = {}
         self.sessions: dict[bytes, Session] = {}
         self._prefixes = PrefixTable()
+        self._private_key: X25519PrivateKey | None = None
 
     @property
     def public_key(self) -> bytes:
@@ -313,18 +330,18 @@ class CryptokeyRoutingTable:
         key = _as_key_bytes(public_key)
         if key == self.public_key:
             raise CryptokeyError("refusing to peer with our own public key")
-        networks = parse_allowed_ips(allowed_ips)
+        prefixes = parse_allowed_ips(allowed_ips)
         entry = self.peers.get(key)
         if entry is None:
             entry = PeerEntry(public_key=key, allowed_ips=[])
             self.peers[key] = entry
-        for network in networks:
-            displaced = self._prefixes.insert(network, key)
+        for text, network, length in prefixes:
+            displaced = self._prefixes.insert(network, length, key)
             if displaced is not None and displaced in self.peers:
                 other = self.peers[displaced]
-                other.allowed_ips = [n for n in other.allowed_ips if n != network]
-            if network not in entry.allowed_ips:
-                entry.allowed_ips.append(network)
+                other.allowed_ips = [t for t in other.allowed_ips if t != text]
+            if text not in entry.allowed_ips:
+                entry.allowed_ips.append(text)
         if endpoint is not None:
             entry.endpoint = endpoint
 
@@ -333,8 +350,8 @@ class CryptokeyRoutingTable:
         entry = self.peers.pop(key, None)
         if entry is None:
             raise UnknownPeer(f"no peer {key_to_base64(key)}")
-        for network in entry.allowed_ips:
-            self._prefixes.remove(network)
+        for text in entry.allowed_ips:
+            self._prefixes.remove(*parse_prefix(text)[1:])
 
     def lookup_by_ip(self, ip) -> bytes:
         """Public key owning the longest allowed prefix containing ip."""
@@ -342,7 +359,7 @@ class CryptokeyRoutingTable:
             address = ipaddress.IPv4Address(ip)
         except ValueError as exc:
             raise CryptokeyError(f"not an IPv4 address: {ip!r}") from exc
-        owner = self._prefixes.lookup(address)
+        owner = self._prefixes.lookup(int(address))
         if owner is None:
             raise NoPeer(f"no allowed-ips prefix covers {address}")
         return owner
@@ -360,7 +377,9 @@ class CryptokeyRoutingTable:
         """The session with this peer; its keys are derived on first use."""
         session = self.sessions.get(peer_key) or self.sessions.setdefault(peer_key, Session())
         if session.send_key is None:
-            shared = dh(self.local_keypair.private, peer_key)
+            if self._private_key is None:
+                self._private_key = X25519PrivateKey.from_private_bytes(self.local_keypair.private)
+            shared = dh(self._private_key, peer_key)
             lo, hi = sorted((self.public_key, peer_key))
             labels = ((_LABEL_LO_TO_HI, _LABEL_HI_TO_LO) if lo == self.public_key
                       else (_LABEL_HI_TO_LO, _LABEL_LO_TO_HI))

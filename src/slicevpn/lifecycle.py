@@ -26,7 +26,6 @@ parallel; Day-2 actions are serial operator calls.
 from __future__ import annotations
 
 import heapq
-import ipaddress
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +43,7 @@ from slicevpn.descriptors import (
     references,
 )
 from slicevpn.errors import AuthorizationError, SliceVpnError
-from slicevpn.transport import Endpoint, Handle, InMemoryBackend, parse_decimal
+from slicevpn.transport import Endpoint, Handle, InMemoryBackend, ipv4_int, parse_decimal
 from slicevpn.vimsim import TimingProfile, Vim, default_profile, format_seconds
 
 DEFAULT_LISTEN_PORT = 51820
@@ -73,9 +72,9 @@ def _parse_int(raw: str) -> int:
         raise LifecycleError(f"expected an integer, got {raw!r}") from exc
 
 
-def _parse_ipaddr(raw: str) -> ipaddress.IPv4Address:
+def _parse_ipaddr(raw: str) -> int:
     try:
-        return ipaddress.IPv4Address(raw)
+        return ipv4_int(raw)
     except ValueError as exc:
         raise LifecycleError(f"expected an IPv4 address, got {raw!r}") from exc
 
@@ -87,7 +86,7 @@ PARAM_PARSERS = {
     "string": str,
     "int": _parse_int,
     "ipaddr": _parse_ipaddr,
-    "cidr": lambda raw: parse_allowed_ips([prefix.strip() for prefix in raw.split(",")]),
+    "cidr": lambda raw: [text for text, _, _ in parse_allowed_ips(prefix.strip() for prefix in raw.split(","))],
     "endpoint": Endpoint.parse,
 }
 
@@ -167,7 +166,6 @@ class NetworkServiceInstance:
     state: str = "Created"
     vnf_records: list[VnfRecord] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
-    params: dict[str, str] = field(default_factory=dict)
     networks: dict[str, str] = field(default_factory=dict)  # link name -> vim network name
     profile: TimingProfile = field(default_factory=default_profile)
     released: bool = False  # infrastructure torn down by ns_delete
@@ -290,13 +288,12 @@ class Orchestrator:
                   profile: TimingProfile | None = None) -> str:
         self._require(actor, "ns_create")
         nsd = self._instantiable("nsd", nsd_id)
-        params = dict(params or {})
+        params = params or {}
         values = self._check_params(params, nsd)
 
         instance = NetworkServiceInstance(
             id=f"ns-{self._next_ns}",
             nsd_id=nsd_id,
-            params=params,
             profile=profile or default_profile(),
         )
         self._next_ns += 1
@@ -335,7 +332,7 @@ class Orchestrator:
                     if not 0 < value < 65536:
                         raise ValueError("port out of range")
                 elif kind == "tunnel-address":
-                    ipaddress.IPv4Address(value)
+                    ipv4_int(value)
                 elif kind == "key-seed":
                     value = bytes.fromhex(value)
                     if len(value) != 32:

@@ -102,7 +102,7 @@ from slicevpn.vimsim import (
 STATE_FILE = "state.json"
 CATALOG_DIR = "catalog"
 LOCK_FILE = ".lock"
-VERSION = 3  # of state.json's layout: a store of any other version is refused, never read or rewritten
+VERSION = 4  # of state.json's layout: a store of any other version is refused, never read or rewritten
 
 
 class StoreError(SliceVpnError):
@@ -156,7 +156,7 @@ def _table_to_doc(table: CryptokeyRoutingTable | None) -> dict | None:
         "peers": [
             {
                 "public-key-hex": entry.public_key.hex(),
-                "allowed-ips": [str(n) for n in entry.allowed_ips],
+                "allowed-ips": list(entry.allowed_ips),
                 "endpoint": _endpoint(entry.endpoint),
             }
             for entry in table.peers.values()
@@ -348,7 +348,6 @@ def _instance_to_doc(instance: NetworkServiceInstance) -> dict:
         "nsd-id": instance.nsd_id,
         "state": instance.state,
         "released": instance.released,
-        "params": instance.params,
         "networks": instance.networks,
         "profile": _field_doc(instance, "profile"),
         "events": _field_doc(instance, "events"),
@@ -374,7 +373,6 @@ def _instance_from_doc(doc: dict, backend, where: str) -> NetworkServiceInstance
         nsd_id=doc["nsd-id"],
         state=doc["state"],
         released=doc["released"],
-        params=dict(doc["params"]),
         networks=dict(doc["networks"]),
         vnf_records=[record for record, _ in records],
     )

@@ -41,6 +41,22 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
+def ipv4_int(text) -> int:
+    """IPv4 address `text` as an integer, accepting and refusing exactly what
+    ``ipaddress.IPv4Address`` does, with its ``ValueError``. A ``str`` that
+    ``socket.inet_pton`` takes and ``inet_ntoa`` gives back unchanged is the
+    canonical dotted quad, and becomes an integer with no ``ipaddress`` object."""
+    if type(text) is str:
+        try:
+            packed = socket.inet_pton(socket.AF_INET, text)
+        except (OSError, ValueError):  # refused, or not a C string (a NUL, a lone surrogate)
+            pass
+        else:
+            if socket.inet_ntoa(packed) == text:
+                return int.from_bytes(packed, "big")
+    return int(ipaddress.IPv4Address(text))
+
+
 @dataclass(frozen=True, order=True)
 class Endpoint:
     ip: str
@@ -48,7 +64,7 @@ class Endpoint:
 
     def __post_init__(self):
         try:
-            ipaddress.IPv4Address(self.ip)
+            ipv4_int(self.ip)
         except ValueError as exc:
             raise TransportError(f"not an IPv4 address: {self.ip!r}") from exc
         if not 0 < self.port < 65536:

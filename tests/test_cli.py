@@ -810,25 +810,25 @@ def _as_version_2(root: Path):
             del record["table"]["public-key-hex"]
     lines[at] = lines[at].replace(lines[at].rstrip(b","), store_module._line(doc, "id"))
     data = b"\n".join(lines)
-    assert data.count(b',"version":3,') == 1
-    path.write_bytes(data.replace(b',"version":3,', b',"version":2,'))
+    assert data.count(b',"version":4,') == 1
+    path.write_bytes(data.replace(b',"version":4,', b',"version":2,'))
 
 
 class TestStoreVersion:
     @pytest.mark.parametrize("command", EVERY_COMMAND)
-    @pytest.mark.parametrize("version", [1, 2, 99, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99, None])
     def test_a_store_of_another_version_is_one_error_line_and_stays_as_it_was(
             self, tmp_path, versioned_template, command, version):
         root = tmp_path / "s"
         shutil.copytree(versioned_template, root)
         path = root / "state.json"
         data = path.read_bytes()
-        assert data.count(b',"version":3,') == 1
-        path.write_bytes(data.replace(b',"version":3', b"" if version is None else b',"version":%d' % version))
+        assert data.count(b',"version":4,') == 1
+        path.write_bytes(data.replace(b',"version":4', b"" if version is None else b',"version":%d' % version))
         files = _store_files(root)
         shown = "null" if version is None else version
         assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
-            (1, "", f"error: store {root} has version {shown}; this build reads 3\n")
+            (1, "", f"error: store {root} has version {shown}; this build reads 4\n")
         assert _store_files(root) == files
 
     @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -838,7 +838,7 @@ class TestStoreVersion:
         _as_version_1(root)
         files = _store_files(root)
         assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
-            (1, "", f"error: store {root} has version 1; this build reads 3\n")
+            (1, "", f"error: store {root} has version 1; this build reads 4\n")
         assert _store_files(root) == files
 
     @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -849,7 +849,7 @@ class TestStoreVersion:
         _as_version_2(root)
         files = _store_files(root)
         assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
-            (1, "", f"error: store {root} has version 2; this build reads 3\n")
+            (1, "", f"error: store {root} has version 2; this build reads 4\n")
         assert _store_files(root) == files
 
 

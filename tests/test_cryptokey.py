@@ -2,6 +2,7 @@ import ipaddress
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,10 @@ from slicevpn.cryptokey import (
     generate_keypair,
     key_from_base64,
     key_to_base64,
+    parse_prefix,
 )
-from slicevpn.transport import Endpoint
+from slicevpn.transport import Endpoint, TransportError, ipv4_int, parse_decimal
+from test_cli import _spy_on_x25519
 
 # Zero-seed public key, computed once with the reference ladder below and pinned.
 ZERO_SEED_PUBLIC_B64 = "L+V9o0fNYkMVKNqsX7spBzD/9oSvxM/C7ZCZX1jLO3Q="
@@ -118,7 +121,8 @@ class TestKeys:
         for _ in range(100):
             a = generate_keypair(rng.randbytes(32))
             b = generate_keypair(rng.randbytes(32))
-            assert dh(a.private, b.public) == dh(b.private, a.public)
+            assert dh(X25519PrivateKey.from_private_bytes(a.private), b.public) == \
+                dh(X25519PrivateKey.from_private_bytes(b.private), a.public)
 
     def test_implementation_matches_reference_ladder(self):
         rng = random.Random(99)
@@ -160,7 +164,7 @@ class TestPeerManagement:
         table.add_peer(b, ["10.0.0.0/24"])
         assert table.lookup_by_ip("10.0.0.7") == b
         assert table.peers[a].allowed_ips == []  # a lost the prefix
-        oracle = [(net, key) for key, entry in table.peers.items() for net in entry.allowed_ips]
+        oracle = [(ipaddress.IPv4Network(net), key) for key, entry in table.peers.items() for net in entry.allowed_ips]
         assert linear_lpm(oracle, "10.0.0.7") == b
 
     def test_update_unions_prefixes_and_overwrites_endpoint(self):
@@ -197,7 +201,7 @@ class TestPeerManagement:
         table.add_peer(a, ["10.0.0.0/16"])
         table.add_peer(b, ["10.0.1.0/24"])
         table.del_peer(b)
-        oracle = [(net, key) for key, entry in table.peers.items() for net in entry.allowed_ips]
+        oracle = [(ipaddress.IPv4Network(net), key) for key, entry in table.peers.items() for net in entry.allowed_ips]
         for ip in ("10.0.1.5", "10.0.2.5"):
             assert table.lookup_by_ip(ip) == linear_lpm(oracle, ip) == a
 
@@ -271,7 +275,7 @@ class TestLookup:
             refilled += len(lengths_after - lengths_before)
             oracle = list(model.items())
             for key, entry in table.peers.items():
-                assert set(entry.allowed_ips) == {n for n, k in model.items() if k == key}
+                assert set(map(ipaddress.IPv4Network, entry.allowed_ips)) == {n for n, k in model.items() if k == key}
             probes = [str(n[rng.randrange(n.num_addresses)]) for n in rng.sample(pool, 4)]
             probes.append(str(ipaddress.IPv4Address(rng.getrandbits(32))))
             for ip in probes:
@@ -403,7 +407,7 @@ class TestReceive:
         with pytest.raises(SourceAddressViolation):
             east.receive(envelope, Endpoint("192.168.100.1", 51820))
         oracle_owner = linear_lpm(
-            [(n, k) for k, e in east.peers.items() for n in e.allowed_ips], "172.16.0.1")
+            [(ipaddress.IPv4Network(n), k) for k, e in east.peers.items() for n in e.allowed_ips], "172.16.0.1")
         assert oracle_owner != west.public_key  # oracle agrees the source is not west's
 
     def test_wrong_receiver_key_id(self):
@@ -499,3 +503,149 @@ def test_endpoint_reflects_latest_authenticated_receive(script):
             with pytest.raises(AuthFailure):
                 east.receive(bad, Endpoint("198.51.100.99", port))
     assert east.endpoint_of(west.public_key) == last
+
+
+# --- the strict IPv4 parsers, against ipaddress ----------------------------------
+
+_OCTETS = st.one_of(
+    st.integers(0, 255).map(str),
+    st.sampled_from(["", "00", "01", "010", "0255", "256", "999", "1000", " 1", "1 ", "\t1", "+1", "-1",
+                     "0x1", "1_0", "\u0661", "\uff11", "1\x002", "\x00", "1e1"]))
+_ADDRESSES = st.builds(".".join, st.lists(_OCTETS, min_size=3, max_size=5))
+_LENGTHS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["024", "0024", "00", "032", "033", "", " 24", "24 ", "+24", "-1", "\u0662\u0664", "2\x004",
+                     "255.255.255.0", "255.255.0.0", "0.0.0.255", "0.0.255.255", "255.0.255.0",
+                     "255.255.255.255", "0.0.0.0", "255.255.255.00"]))
+_NETWORKS = st.builds(lambda address, length: str(ipaddress.IPv4Network((address, length), strict=False)),
+                      st.integers(0, 2**32 - 1), st.integers(0, 32))
+_NOISE = st.sampled_from(list("0123456789./: +-\x00\t\u0661\uff12ab"))
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A text from `texts` with up to three characters inserted, deleted or replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = text[:at] + ("" if op == "delete" else draw(_NOISE)) + text[at + (op != "insert"):]
+    return text
+
+
+_PREFIX_TEXTS = st.one_of(
+    _NETWORKS,
+    _mutated(_NETWORKS),
+    st.builds(lambda a, n: f"{a}/{n}", _ADDRESSES, _LENGTHS),
+    _mutated(st.builds(lambda a, n: f"{a}/{n}", _ADDRESSES, _LENGTHS)),
+    _ADDRESSES,
+    st.builds(lambda a, n: f"{a}/{n}/{n}", _ADDRESSES, _LENGTHS),
+    st.text(max_size=20),
+)
+_ADDRESS_TEXTS = st.one_of(
+    _NETWORKS.map(lambda n: n.partition("/")[0]),
+    _mutated(_NETWORKS.map(lambda n: n.partition("/")[0])),
+    _ADDRESSES,
+    _mutated(_ADDRESSES),
+    st.text(max_size=16),
+)
+
+
+def _outcome(parse, text):
+    """('ok', value) or (exception class, message) of parse(text)."""
+    try:
+        return "ok", parse(text)
+    except (ValueError, CryptokeyError, TransportError) as exc:
+        return type(exc), str(exc)
+
+
+def _network_as_ipaddress_reads_it(text):
+    network = ipaddress.IPv4Network(text, strict=True)
+    return str(network), int(network.network_address), network.prefixlen
+
+
+def _prefix_as_ipaddress_reads_it(text):
+    try:
+        return _network_as_ipaddress_reads_it(text)
+    except ValueError as exc:
+        raise CryptokeyError(f"expected an IPv4 CIDR, got {text!r}") from exc
+
+
+def _endpoint_as_ipaddress_reads_it(text):
+    host, _, port = text.rpartition(":")
+    try:
+        ipaddress.IPv4Address(host)
+        port = parse_decimal(port)
+    except ValueError as exc:
+        raise TransportError(f"expected ip:port, got {text!r}") from exc
+    if not 0 < port < 65536:
+        raise TransportError(f"expected ip:port, got {text!r}")
+    return host, port
+
+
+def _fields(endpoint: Endpoint) -> tuple[str, int]:
+    return endpoint.ip, endpoint.port
+
+
+class TestStrictParsers:
+    """The parsers that skip ``ipaddress`` for canonical text accept, refuse
+    and word their refusals exactly as ``ipaddress`` does."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_PREFIX_TEXTS)
+    def test_prefix_parser_matches_ipv4network(self, text):
+        assert _outcome(parse_prefix, text) == _outcome(_prefix_as_ipaddress_reads_it, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_ADDRESS_TEXTS)
+    def test_address_parser_matches_ipv4address(self, text):
+        assert _outcome(ipv4_int, text) == _outcome(lambda t: int(ipaddress.IPv4Address(t)), text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(st.builds(lambda a, p: f"{a}:{p}", _ADDRESS_TEXTS, st.integers(-1, 70000).map(str)),
+                     _mutated(st.builds(lambda a, p: f"{a}:{p}", _ADDRESS_TEXTS, st.integers(0, 65535).map(str)))))
+    def test_endpoint_parse_matches_ipaddress(self, text):
+        parsed = _outcome(lambda t: _fields(Endpoint.parse(t)), text)
+        assert parsed == _outcome(_endpoint_as_ipaddress_reads_it, text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("10.0.9.0/024", ("10.0.9.0/24", 0x0A000900, 24)),
+        ("10.0.8.0/255.255.255.0", ("10.0.8.0/24", 0x0A000800, 24)),
+        ("10.0.8.0/0.0.0.255", ("10.0.8.0/24", 0x0A000800, 24)),
+        ("10.0.8.7", ("10.0.8.7/32", 0x0A000807, 32)),
+        ("0.0.0.0/0", ("0.0.0.0/0", 0, 0)),
+        ("255.255.255.255/32", ("255.255.255.255/32", 0xFFFFFFFF, 32)),
+        (ipaddress.IPv4Network("10.1.0.0/16"), ("10.1.0.0/16", 0x0A010000, 16)),
+    ])
+    def test_accepted_forms_are_canonical(self, text, expected):
+        assert parse_prefix(text) == expected
+
+    @pytest.mark.parametrize("text", ["10.0.9.1/24", "10.0.9.0/33", "10.0.9.0/+24", "10.0.9.0/ 24", " 10.0.9.0/24",
+                                      "010.0.9.0/24", "10.0.9/24", "10.0.9.0.0/24", "10.0.9.0/\u0662\u0664",
+                                      "10.0.9.0\x00/24", "10.0.9.0/24/24", "10.0.9.0/255.0.255.0", ""])
+    def test_refusals_read_as_before(self, text):
+        with pytest.raises(CryptokeyError) as refused:
+            parse_prefix(text)
+        assert str(refused.value) == f"expected an IPv4 CIDR, got {text!r}"
+        with pytest.raises(ValueError):
+            ipaddress.IPv4Network(text, strict=True)
+
+
+# --- deterministic cost contracts ---------------------------------------------------
+
+
+class TestCostContracts:
+    @pytest.mark.parametrize("peers", [1, 64])
+    def test_a_table_loads_its_private_key_once_for_all_its_sessions(self, monkeypatch, peers):
+        local = generate_keypair(b"\x21" * 32)
+        remotes = [generate_keypair(bytes([0x40 + i]) * 32) for i in range(peers)]
+        made = _spy_on_x25519(monkeypatch)
+        table = CryptokeyRoutingTable(local, Endpoint("192.168.100.1", 51820), "10.100.0.1")
+        for i, remote in enumerate(remotes):
+            table.add_peer(remote.public, [f"10.1.{i}.0/24"], Endpoint("192.168.100.2", 51820 + i))
+        assert made == []  # construction and peering load no key
+        for i in range(peers):
+            table.send(PlainPacket("10.100.0.1", f"10.1.{i}.1", b"x"))
+        assert len(table.sessions) == peers and made == [32]
+        table.send(PlainPacket("10.100.0.1", "10.1.0.2", b"y"))
+        assert made == [32]

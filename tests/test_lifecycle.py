@@ -93,8 +93,8 @@ class TestNsCreate:
     def test_instantiation_params_logged(self, orch):
         instance_id = create_vpn_instance(orch)
         instance = orch.instances[instance_id]
-        assert instance.params["member.1.key-seed"] == WEST_SEED.hex()
         assert "key-seed" in instance.events[0].message
+        assert WEST_SEED.hex() not in instance.events[0].message  # redacted
 
     def test_param_overrides_tunnel_address(self, orch):
         instance_id = create_vpn_instance(orch, {"member.1.tunnel-address": "10.77.0.9"})
@@ -144,7 +144,6 @@ class TestNsCreate:
         instance_id = orch.ns_create(ADMIN, "wg-vpn", params)
         assert ports == ["51821"]  # checked and used from one parse
         instance = orch.instances[instance_id]
-        assert instance.params == params  # kept as given
         assert instance.record(1).table.listen_endpoint.port == 51821
         assert instance.record(2).table.tunnel_address == "10.77.0.2"
         assert instance.record(1).table.public_key_b64 == generate_keypair(WEST_SEED).public_b64

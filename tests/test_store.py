@@ -4,7 +4,9 @@ import errno
 import gc
 import itertools
 import json
+import ipaddress
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from conftest import (EAST_PEER_PARAMS, create_vpn_instance, make_orchestrator, peer_gateways, sample_text,
                       save_peered_store)
 from slicevpn import store as store_module
-from slicevpn.cryptokey import EncryptedEnvelope, PlainPacket, ReplayRejected
+from slicevpn.cryptokey import (CryptokeyRoutingTable, EncryptedEnvelope, NoPeer, PlainPacket, ReplayRejected,
+                                generate_keypair)
 from slicevpn.descriptors import descriptor_from_doc, parse_descriptor, serialize_descriptor
 from slicevpn.lifecycle import ADMIN, Actor, Orchestrator
 from slicevpn.store import LOCK_FILE, STATE_FILE, Store, StoreError
@@ -149,7 +152,7 @@ class TestRoundTrip:
         monkeypatch.setattr(store_module, "_instance_from_doc", lambda *args, **kw: decoded.append(args))
         with pytest.raises(StoreError) as refused:
             store.load()
-        assert str(refused.value) == f"store {tmp_path / 's'} has version 1; this build reads 3"
+        assert str(refused.value) == f"store {tmp_path / 's'} has version 1; this build reads 4"
         assert decoded == [] and path.read_bytes() == before
 
     def test_ids_continue_after_reload(self, tmp_path):
@@ -161,7 +164,7 @@ class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         store = build_and_save(tmp_path / "s")
         first = (tmp_path / "s" / STATE_FILE).read_bytes()
-        assert json.loads(first)["version"] == store_module.VERSION == 3
+        assert json.loads(first)["version"] == store_module.VERSION == 4
         store.save(store.load())
         assert (tmp_path / "s" / STATE_FILE).read_bytes() == first
 
@@ -233,6 +236,98 @@ class TestRoundTrip:
         west2 = reloaded.instances[instance_id].record(1).table
         assert west2.peers[east_key].allowed_ips == []
         assert west2.lookup_by_ip("10.0.2.9") == third
+
+    def test_a_seeded_private_key_is_stored_once(self, tmp_path):
+        # a key seed is the private scalar: the table holds it, and nothing else may
+        store = build_and_save(tmp_path / "s")
+        data = (tmp_path / "s" / STATE_FILE).read_bytes()
+        tables = [record["table"] for instance in json.loads(data)["instances"]
+                  for record in instance["vnf-records"] if record["table"] is not None]
+        assert len(tables) == 2
+        for table in tables:
+            assert data.count(table["private-key-hex"].encode()) == 1
+        assert all("params" not in instance for instance in json.loads(data)["instances"])
+        store.save(store.load())
+        assert (tmp_path / "s" / STATE_FILE).read_bytes() == data
+
+
+def _hub_table_doc(rng: random.Random, peers: int = 1024) -> dict:
+    """A hub table's document: `peers` peers owning 2 prefixes each. Peer 0
+    owns 10.0.0.0/8 and 10.128.0.0/9; the others a /32 under the first and a
+    /24 under the second, so most lookups pass over a shorter match."""
+    table = CryptokeyRoutingTable(generate_keypair(rng.randbytes(32)), Endpoint("192.168.100.1", 51820),
+                                  "10.100.0.1")
+    for index in range(peers):
+        prefixes = (["10.0.0.0/8", "10.128.0.0/9"] if index == 0 else
+                    [f"10.101.{index >> 8}.{index & 255}/32", f"10.{128 + (index >> 8)}.{index & 255}.0/24"])
+        table.add_peer(rng.randbytes(32), prefixes, Endpoint(f"172.16.{index >> 8}.{index & 255}", 51820))
+    return store_module._table_to_doc(table)
+
+
+def _linear_owner(model: dict[tuple[int, int], bytes], address: int) -> bytes | None:
+    """Owner of the longest prefix in `model` ((network, length) -> key) holding address, by a full scan."""
+    best, best_length = None, -1
+    for (network, length), owner in model.items():
+        if address >> (32 - length) << (32 - length) == network and length > best_length:
+            best, best_length = owner, length
+    return best
+
+
+class TestTables:
+    def test_hub_table_decodes_and_matches_a_linear_scan_under_churn(self):
+        rng = random.Random(2026)
+        doc = _hub_table_doc(rng)
+        assert sum(len(peer["allowed-ips"]) for peer in doc["peers"]) == 2048
+        table = store_module._table_from_doc(doc)
+        assert store_module._table_to_doc(table) == doc
+        keys = list(table.peers)
+        for _ in range(400):
+            key = rng.choice(keys)
+            entry = table.peers.get(key)
+            if entry is not None and rng.random() < 0.2:
+                table.del_peer(key)
+            elif entry is None or not entry.allowed_ips:  # deleted, or every prefix reassigned
+                table.add_peer(key, [f"10.{rng.randrange(128, 132)}.{rng.randrange(256)}.0/24"])  # may reassign
+            else:  # re-peer as the benchmark's churn does
+                allowed, endpoint = list(entry.allowed_ips), entry.endpoint
+                table.del_peer(key)
+                table.add_peer(key, allowed, endpoint)
+        model = {}
+        for key, entry in table.peers.items():
+            for text in entry.allowed_ips:
+                network = ipaddress.IPv4Network(text)
+                assert (int(network.network_address), network.prefixlen) not in model
+                model[int(network.network_address), network.prefixlen] = key
+        edges = []
+        for network, length in rng.sample(sorted(model), 400):
+            last = network + (1 << (32 - length)) - 1
+            edges += [network, last, (last + 1) & 0xFFFFFFFF]
+        addresses = edges[:1000] + [rng.getrandbits(32) for _ in range(500)] + \
+            [0x0A000000 | rng.getrandbits(24) for _ in range(500)]
+        assert len(addresses) == 2000
+        for address in addresses:
+            expected = _linear_owner(model, address)
+            text = str(ipaddress.IPv4Address(address))
+            if expected is None:
+                with pytest.raises(NoPeer):
+                    table.lookup_by_ip(text)
+            else:
+                assert table.lookup_by_ip(text) == expected
+        churned = store_module._table_to_doc(table)
+        assert store_module._table_to_doc(store_module._table_from_doc(churned)) == churned
+
+    def test_decoding_canonical_prefixes_builds_no_ipaddress_object(self, monkeypatch):
+        doc = _hub_table_doc(random.Random(7), peers=256)
+        built = []
+        for cls in (ipaddress.IPv4Network, ipaddress.IPv4Address):
+            original = cls.__init__
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *args, _original=original, **kw: built.append(self) or
+                                _original(self, *args, **kw))
+        table = store_module._table_from_doc(doc)
+        assert built == []
+        assert len(table.peers) == 256
+        assert table.lookup_by_ip("10.128.7.9") == bytes.fromhex(doc["peers"][7]["public-key-hex"])
 
 
 def _spy_on_writes(monkeypatch) -> list[str]:
@@ -589,7 +684,8 @@ class TestCatalogListing:
 
 
 class TestVersion:
-    @pytest.mark.parametrize("value, shown", [(1, "1"), (2, "2"), (99, "99"), ("3", '"3"'), (3.0, "3.0"),
+    @pytest.mark.parametrize("value, shown", [(1, "1"), (2, "2"), (3, "3"), (99, "99"), ("3", '"3"'), (3.0, "3.0"),
+                                              ("4", '"4"'), (4.0, "4.0"),
                                               (True, "true"), (None, "null")])
     def test_a_store_of_another_version_is_refused_before_anything_decodes(self, tmp_path, monkeypatch,
                                                                             value, shown):
@@ -603,7 +699,7 @@ class TestVersion:
         monkeypatch.setattr(store_module, "_orchestrator_from_doc", lambda *args: decoded.append(args))
         with pytest.raises(StoreError) as refused:
             store.load()
-        assert str(refused.value) == f"store {tmp_path / 's'} has version {shown}; this build reads 3"
+        assert str(refused.value) == f"store {tmp_path / 's'} has version {shown}; this build reads 4"
         assert decoded == [] and path.read_bytes() == before
 
     def test_a_store_with_no_version_is_refused(self, tmp_path):
@@ -613,7 +709,7 @@ class TestVersion:
         del state["version"]
         path.write_text(json.dumps(state, indent=1))  # laid out in lines as it loads, then refused
         before = path.read_bytes()
-        with pytest.raises(StoreError, match=r"has version null; this build reads 3$"):
+        with pytest.raises(StoreError, match=r"has version null; this build reads 4$"):
             store.load()
         assert path.read_bytes() == before
 
