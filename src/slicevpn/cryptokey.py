@@ -268,13 +268,13 @@ def parse_prefix(item) -> tuple[str, int, int]:
     through ``ipaddress``."""
     if type(item) is str:
         address, _, digits = item.partition("/")
-        if digits.isascii() and digits.isdigit() and (length := int(digits)) <= 32:
+        if digits.isascii() and digits.isdigit():
             try:
-                network = ipv4_int(address)
-            except ValueError:
+                length, network = int(digits), ipv4_int(address)
+            except ValueError:  # also int()'s limit on the number of digits
                 pass
             else:
-                if network & (0xFFFFFFFF >> length) == 0:
+                if length <= 32 and network & (0xFFFFFFFF >> length) == 0:
                     return f"{address}/{length}", network, length
     try:
         parsed = ipaddress.IPv4Network(item, strict=True)

@@ -622,7 +622,8 @@ class TestStrictParsers:
 
     @pytest.mark.parametrize("text", ["10.0.9.1/24", "10.0.9.0/33", "10.0.9.0/+24", "10.0.9.0/ 24", " 10.0.9.0/24",
                                       "010.0.9.0/24", "10.0.9/24", "10.0.9.0.0/24", "10.0.9.0/\u0662\u0664",
-                                      "10.0.9.0\x00/24", "10.0.9.0/24/24", "10.0.9.0/255.0.255.0", ""])
+                                      "10.0.9.0\x00/24", "10.0.9.0/24/24", "10.0.9.0/255.0.255.0", "",
+                                      "10.0.9.0/" + "0" * 5000 + "24"])
     def test_refusals_read_as_before(self, text):
         with pytest.raises(CryptokeyError) as refused:
             parse_prefix(text)
