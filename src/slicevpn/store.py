@@ -12,18 +12,16 @@ this code wrote and no save rewrites a file another build would read.
 
 ``state.json`` is compact JSON with one document per line: each instance,
 VIM network and VIM VDU on a line of its own, its key (``"id"`` or
-``"name"``) first, between skeleton lines that hold the global fields. A
-file in another JSON layout, or holding ``\\r``, is laid out in lines as it
-loads (``_StateFile``). Loading parses only the skeleton, found from the
-file's ends; a document stays in the loaded bytes, and a catalog file
-unparsed, until a command looks it up (``LazyDocuments``), and a lookup finds
-its line by key with one backward search. Only a lookup that misses
-indexes the whole file: ``ns-create`` does, ``ns-delete`` does not. A
-document joined onto another's line (the newline between them removed)
-shows in the lookup's own parse, as data after a document, or when a key
-that starts no line has its text in its group; the file is then laid out
-in lines, as it is before a group is listed. Every save splices the
-re-encoded touched lines into the loaded bytes, drops deleted ones and
+``"name"``) first, between skeleton lines that hold the global fields. It
+is the one layout the store reads: a file whose skeleton is not in it, or
+that holds ``\\r``, is refused as it loads (``_StateFile``), like another
+version. Loading parses only the skeleton, found from the file's ends; a
+document stays in the loaded bytes, and a catalog file unparsed, until a
+command looks it up (``LazyDocuments``), and a lookup finds its line by key
+with one backward search. Only a lookup that misses indexes the whole file:
+``ns-create`` does, ``ns-delete`` does not. A document joined onto
+another's line fails the commands that read either one. Every save splices
+the re-encoded touched lines into the loaded bytes, drops deleted ones and
 appends added ones to their group, and writes a catalog file only for a
 descriptor onboarded since loading, with its compiled form beside it
 (``{kind}-{id}.json``: the file's text and the document checked from it).
@@ -45,14 +43,15 @@ one never decoded back as loaded, and an event or primitive logged onto one
 is appended as its row. So a Day-2 action decodes the profile and its
 member's declarations (and, for ``add-peer``, ``del-peer`` and
 ``start-wg``, its table), ``kpi`` the events and primitives, ``ns-show`` the
-events, and a gateway saved as bound re-binds from its table's JSON. Only ``onboard``, ``validate``,
-``ns-create`` and ``slice-create`` list the catalog directory. A corrupt
-document line or catalog file fails only the commands that touch it (a
-line whose key cannot be read, only those that index the file), and a
-corrupt instance field only those that read or extend it (a table:
-``add-peer``, ``del-peer``, ``start-wg``, ``bench``; the profile: every
-``ns-action``); ``bench`` binds only the touched instance's gateway
-sockets, on loopback UDP; the CLI closes them after the save.
+events, and a gateway saved as bound re-binds from its table's JSON. Only
+``onboard``, ``validate``, ``ns-create`` and ``slice-create`` list the
+catalog directory. A corrupt document line or catalog file fails only the
+commands that touch it (a line that does not start with its plain key, only
+those that index the file), and a corrupt instance field only those that
+read or extend it (a table: ``add-peer``, ``del-peer``, ``start-wg``,
+``bench``; the profile: every ``ns-action``); ``bench`` binds only the
+touched instance's gateway sockets, on loopback UDP; the CLI closes them
+after the save.
 
 One CLI invocation at a time per store: an advisory ``flock`` on the
 persistent ``.lock`` file makes concurrent invocations fail fast, and the
@@ -430,8 +429,7 @@ def _vdu_from_doc(doc: dict) -> VduInstance:
 
 
 # what keys the instance, VIM network and VIM VDU lines, and how each line starts
-_KEYS = ("id", "name", "id")
-_PREFIXES = tuple(b'{"' + key.encode("ascii") + b'":"' for key in _KEYS)
+_PREFIXES = (b'{"id":"', b'{"name":"', b'{"id":"')
 # each line's start up to the end of its key, if the key's JSON string holds no escape or control character
 _PLAIN_KEYS = tuple(re.compile(re.escape(prefix) + rb'([^"\\\x00-\x1f]*)"') for prefix in _PREFIXES)
 
@@ -448,10 +446,6 @@ def _line(doc: dict, key: str) -> bytes:
                      b"," if rest != b"{}" else b"", rest[1:]))
 
 
-def _lists(state: dict) -> tuple:
-    return state["instances"], state["vim"]["networks"], state["vim"]["vdus"]
-
-
 def _line_end(data: bytes, newline: int) -> int:
     """Where the line that ends at `newline` ends without the separator after
     it: trailing spaces and tabs, then one comma."""
@@ -461,9 +455,9 @@ def _line_end(data: bytes, newline: int) -> int:
 
 
 def _index(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
-    """Every document line's (start, end) by key, per group; a ValueError for a line out of layout.
-    A key with no escape or control character is its bytes, decoded, and no more of its line is;
-    any other is read as JSON (``scanstring``) from its line decoded whole."""
+    """Every document line's (start, end) by key, per group. A key is its bytes,
+    decoded, and no more of its line is; a line that does not start with its
+    prefix and a key with no escape or control character is a ValueError."""
     spans = ({}, {}, {})
     for (lo, hi), prefix, plain, group in zip(bounds, _PREFIXES, _PLAIN_KEYS, spans):
         start = lo + 1
@@ -471,13 +465,9 @@ def _index(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
             newline = data.find(b"\n", start)
             end = _line_end(data, newline)
             match = plain.match(data, start, end)
-            if match:
-                key = match[1].decode("utf-8")
-            elif data.startswith(prefix, start, end):
-                key = json.decoder.scanstring(data[start:end].decode("utf-8"), len(prefix))[0]
-            else:
-                raise ValueError(f"a document line does not start with {prefix.decode()}")
-            group[key] = (start, end)
+            if not match:
+                raise ValueError(f"a document line does not start with {prefix.decode()} and a plain key")
+            group[match[1].decode("utf-8")] = (start, end)
             start = newline + 1
     return spans
 
@@ -485,84 +475,46 @@ def _index(data: bytes, bounds: list[tuple[int, int]]) -> tuple[dict, ...]:
 class _StateFile:
     """A loaded ``state.json`` in the line layout: its bytes, its global
     fields, each group's byte range, and where each line found by key lies.
-    A file is laid out in lines as it loads if it is in another layout, and
-    at most once more (``relaid``) if a line is out of the layout, a document
-    is joined onto another's line (``find``, ``locate``) or a group is listed."""
+    Bytes in any other layout are refused as they load; a document line out
+    of the layout found later fails only the lookups that reach it."""
 
     def __init__(self, data: bytes, path: Path | None = None):
-        self.path = path
-        if not self._read(data):
-            self._relayout(data)
-
-    def _read(self, data: bytes) -> bool:
         """Take `data` if it holds no ``\\r`` and its skeleton is in the layout:
         its first line and last three that start with ``]`` hold the global fields."""
+        self.path = path
         closing = [len(data)]  # where each closing line starts: at the \n before it
         for _ in range(3):
             closing.insert(0, data.rfind(b"\n]", 0, max(closing[0], 0)))
-        if closing[0] < 0 or b"\r" in data:
-            return False
         opening = [data.find(b"\n"), *(data.find(b"\n", at + 1) for at in closing[:2])]  # where each ends
-        skeleton = (data[:opening[0]], *(data[at + 1:end] for at, end in zip(closing, opening[1:])),
-                    data[closing[2] + 1:])
         try:  # a marker in place of each group: the state must hold each in its list
+            if closing[0] < 0 or b"\r" in data:
+                raise ValueError
+            skeleton = (data[:opening[0]], *(data[at + 1:end] for at, end in zip(closing, opening[1:])),
+                        data[closing[2] + 1:])
             state = json.loads(b"%b0%b1%b2%b" % skeleton)
-            if list(_lists(state)) != [[0], [1], [2]]:
-                return False
+            if [state["instances"], state["vim"]["networks"], state["vim"]["vdus"]] != [[0], [1], [2]]:
+                raise ValueError
         except (ValueError, KeyError, TypeError):
-            return False
+            raise StoreError(f"corrupt state file {path}: not in the line layout this build writes") from None
         self.data, self.state = data, state
         self.bounds = list(zip(opening, closing))  # per group: its first line's \n to its closing line's \n
         self.spans = ({}, {}, {})  # per group: key -> (start, end) of each line found by key
         self.indexed = opening == closing[:3]  # whether the spans hold every line, as in a file of none
-        self.relaid = False  # whether these bytes were laid out here: then every document has its line, indexed
-        return True
-
-    def _relayout(self, data: bytes):
-        """Take `data`, a whole state in any JSON layout, laid out in lines
-        (its documents spliced into its empty skeleton) and indexed."""
-        state = json.loads(data)
-        groups = [[(doc[key], _line(doc, key)) for doc in docs] for docs, key in zip(_lists(state), _KEYS)]
-        skeleton = _skeleton({**state, "instances": [0], "vim": {**state["vim"], "networks": [1], "vdus": [2]}})
-        if not (self._read(b"\n".join(skeleton)) and self._read(b"".join(self.splice(skeleton, groups)))):
-            raise ValueError("its global fields hide where its lists are")
-        self.spans, self.indexed, self.relaid = _index(self.data, self.bounds), True, True
-
-    def _laid_out(self):
-        """Lay the loaded bytes out in lines again; bytes that are not one
-        state are corrupt."""
-        try:
-            self._relayout(self.data)
-        except _DECODE_ERRORS as exc:
-            raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
-
-    def find(self, group: int, key) -> dict | None:
-        """The document of `group` under `key`, parsed from its line. Data after
-        it shows a joined document: the file is laid out in lines and read again."""
-        span = self.locate(group, key)
-        try:
-            return None if span is None else json.loads(self.data[span[0]:span[1]])
-        except json.JSONDecodeError as exc:
-            if self.relaid or exc.msg != "Extra data":
-                raise
-        self._laid_out()
-        return self.find(group, key)
 
     def locate(self, group: int, key) -> tuple[int, int] | None:
         """Where the line of `group` under `key` lies, found with no parse. A key
         no line starts with, but whose text (``"id":"ns-2"``) is in the group, is
-        on another's line: the file is laid out in lines and looked up again."""
+        on another's line, and the file is corrupt."""
         span = self._span(group, key)
-        if span is None and not self.relaid and \
-                self.data.find(_PREFIXES[group][1:-1] + _encode(key), *self.bounds[group]) >= 0:
-            self._laid_out()
-            span = self._span(group, key)
+        if span is None:
+            text = _PREFIXES[group][1:-1] + _encode(key)
+            if self.data.find(text, *self.bounds[group]) >= 0:
+                raise StoreError(f"corrupt state file {self.path}: {text.decode()} starts no line")
         return span
 
     def _span(self, group: int, key) -> tuple[int, int] | None:
         """Where the line of `group` under `key` lies: the last to start with its
-        prefix and `key`, found with one backward search, or else the index's (the
-        whole file indexed once, laid out first if a line is out of the layout)."""
+        prefix and `key`, found with one backward search, or else the index's."""
         if not self.indexed:
             lo, hi = self.bounds[group]
             needle = b"\n" + _PREFIXES[group][:-1] + _encode(key)
@@ -570,11 +522,16 @@ class _StateFile:
             if at >= 0 and self.data[at + len(needle)] in b",}":
                 self.spans[group][key] = (at + 1, _line_end(self.data, self.data.find(b"\n", at + 1)))
             else:
-                try:
-                    self.spans, self.indexed = _index(self.data, self.bounds), True
-                except ValueError:
-                    self._laid_out()
+                self.index()
         return self.spans[group].get(key)
+
+    def index(self):
+        """Find every line by key, once; a line out of the layout is corrupt."""
+        if not self.indexed:
+            try:
+                self.spans, self.indexed = _index(self.data, self.bounds), True
+            except ValueError as exc:  # UnicodeDecodeError too
+                raise StoreError(f"corrupt state file {self.path}: {type(exc).__name__}: {exc}") from exc
 
     def splice(self, skeleton: tuple[bytes, ...], groups: list[list[tuple]]) -> list:
         """The pieces of the loaded bytes with `skeleton` in place of the skeleton
@@ -609,14 +566,17 @@ class _Group(NamedTuple):
     group: int
 
     def get(self, key) -> dict | None:
-        return self.file.find(self.group, key)
+        """The document under `key`, parsed from its line; data after it (a
+        document joined onto its line) fails the parse."""
+        span = self.file.locate(self.group, key)
+        return None if span is None else json.loads(self.file.data[span[0]:span[1]])
 
     def __contains__(self, key) -> bool:
         return self.file.locate(self.group, key) is not None
 
     def keys(self):
-        if not self.file.relaid:  # so that a document joined onto another's line is listed
-            self.file._laid_out()
+        """The key of each line; no command lists a group."""
+        self.file.index()
         return self.file.spans[self.group].keys()
 
 

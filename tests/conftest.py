@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,23 @@ def peer_gateways(orch: Orchestrator, instance_id: str):
     second = orch.ns_action(ADMIN, instance_id, 2, "add-peer",
                             {"public-key": west, **EAST_PEER_PARAMS})
     return first, second
+
+
+def laid_out_in_lines(state: dict) -> bytes:
+    """`state` in the line layout: each document of its three lists on a line
+    of its own, its key first and the rest key-sorted, between the lines of
+    the rest of the state."""
+    text = json.dumps({**state, "instances": [], "vim": {**state["vim"], "networks": [], "vdus": []}},
+                      sort_keys=True, separators=(",", ":"))
+    out = []
+    for opening, docs, key in (('"instances":[', state["instances"], "id"),
+                               ('"networks":[', state["vim"]["networks"], "name"),
+                               ('"vdus":[', state["vim"]["vdus"], "id")):
+        head, _, text = text.partition(opening)
+        lines = [f'{{"{key}":{json.dumps(doc[key])},' + json.dumps(
+            {k: v for k, v in doc.items() if k != key}, sort_keys=True, separators=(",", ":"))[1:] for doc in docs]
+        out.append(head + opening + ("\n" + ",\n".join(lines) if lines else "") + "\n")
+    return ("".join(out) + text).encode()
 
 
 def save_peered_store(root, count: int = 3) -> Store:

@@ -21,12 +21,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STRING_PARAMS_GATEWAY, save_peered_store
+from conftest import STRING_PARAMS_GATEWAY, laid_out_in_lines, save_peered_store
 from slicevpn import cli as cli_module
 from slicevpn import cryptokey as cryptokey_module
 from slicevpn import store as store_module
@@ -776,8 +777,8 @@ def _store_files(root: Path) -> dict[Path, bytes]:
 
 
 def _as_version_1(root: Path):
-    """Rewrite the store's state.json as a version-1 build wrote it: one line,
-    the keys that build kept, sessions as "tx-counters" plus each peer's
+    """Rewrite the store's state.json as a version-1 build wrote it: in the line
+    layout, the keys that build kept, sessions as "tx-counters" plus each peer's
     "rx-watermark", and VNF records without their primitives."""
     path = root / "state.json"
     state = json.loads(path.read_text())
@@ -795,7 +796,7 @@ def _as_version_1(root: Path):
                 table["tx-counters"] = {key: tx for key, (tx, _) in sessions.items()}
                 for peer in table["peers"]:
                     peer["rx-watermark"] = sessions.get(peer["public-key-hex"], [0, 0])[1]
-    path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
+    path.write_bytes(laid_out_in_lines(state))
 
 
 def _as_version_2(root: Path):
@@ -853,34 +854,40 @@ class TestStoreVersion:
         assert _store_files(root) == files
 
 
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory) -> Path:
+    """The store the golden session leaves: the catalog, ``state.json``, its
+    shadow and the lock file."""
+    root = tmp_path_factory.mktemp("golden") / "s"
+    for argv in golden_session(str(root)):
+        assert run_cli(*argv)[0] == 0, argv
+    assert (root / "state.json.tmp").exists() and (root / ".lock").exists()
+    return root
+
+
+# a state.json laid out again by hand, from the bytes the program wrote; "indented" as `python -m json.tool`
+# leaves it
+OTHER_LAYOUTS = {
+    "indented": lambda data: (json.dumps(json.loads(data), indent=2) + "\n").encode(),
+    "one-line": lambda data: json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode(),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+}
+
+
 class TestHandEditedStores:
-    def test_other_json_layouts_load_and_are_rewritten_in_lines(self, tmp_path):
-        for argv in golden_session(str(tmp_path / "lines"))[:-2]:  # all but kpi, ns-show
-            assert run_cli(*argv)[0] == 0, argv
-        value = json.loads((tmp_path / "lines" / "state.json").read_bytes())
-        layouts = {
-            "indented": json.dumps(value, indent=2) + "\n",  # as `python -m json.tool` leaves it
-            "one-line": json.dumps(value, sort_keys=True, separators=(",", ":")),
-            "crlf": (tmp_path / "lines" / "state.json").read_text().replace("\n", "\r\n"),
-        }
-        for name, text in layouts.items():
-            shutil.copytree(tmp_path / "lines", tmp_path / name)
-            (tmp_path / name / "state.json").write_bytes(text.encode())
-        for argv in (["kpi", "ns-1"], ["ns-show", "ns-1"], ["--json", "ns-show", "ns-1"]):
-            expected = run_cli("--store", str(tmp_path / "lines"), *argv)
-            assert expected[0] == 0
-            for name in layouts:
-                assert run_cli("--store", str(tmp_path / name), *argv) == expected, (name, argv)
-        for name in ("lines", *layouts):
-            assert run_cli("--store", str(tmp_path / name), "ns-action", "ns-1", "1",
-                           "get-public-key")[0] == 0
-        # each is rewritten in the line layout, to the value the same write gives there
-        written = (tmp_path / "lines" / "state.json").read_bytes()
-        state = json.loads(written)
-        documents = len(state["instances"]) + len(state["vim"]["networks"]) + len(state["vim"]["vdus"])
-        assert written.count(b"\n") == documents + 3
-        for name in layouts:
-            assert (tmp_path / name / "state.json").read_bytes() == written, name
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_a_store_in_another_layout_is_one_error_line_and_stays_as_it_was(
+            self, tmp_path, monkeypatch, golden_store, command, layout):
+        root = tmp_path / "s"
+        shutil.copytree(golden_store, root)
+        path = root / "state.json"
+        path.write_bytes(OTHER_LAYOUTS[layout](path.read_bytes()))
+        files = _store_files(root)
+        decoded = _spy(monkeypatch, "_orchestrator_from_doc")
+        assert run_cli("--store", str(root), *EVERY_COMMAND[command]) == \
+            (1, "", f"error: corrupt state file {path}: not in the line layout this build writes\n")
+        assert decoded == [] and _store_files(root) == files
 
     def test_catalog_files_written_with_every_optional_key_still_load(self, tmp_path):
         # a catalog file edited by hand, every optional key spelled out with its default
@@ -1297,22 +1304,30 @@ class TestDecodeOnDemand:
         assert (status, out, err) == (0, "created ns-21 (state Running)\n", "")
         assert len(indexed) == 2
 
-    def test_a_line_out_of_layout_is_indexed_late_and_rewritten(self, tmp_path):
+    def test_a_line_out_of_layout_fails_only_commands_that_index_the_file(self, tmp_path):
         for name in ("lines", "reordered"):
             save_peered_store(tmp_path / name, count=20)
         path = tmp_path / "reordered" / "state.json"
         lines = path.read_bytes().split(b"\n")
         at = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"ns-3.m1.gw",'))
         doc = json.loads(lines[at].removesuffix(b","))
-        lines[at] = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b","
+        laid_out, lines[at] = lines[at], json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b","
         assert not lines[at].startswith(b'{"id":')  # its keys sorted by hand, the id not first
         path.write_bytes(b"\n".join(lines))
-        config = str(SAMPLES / "config-seeded-keys.yaml")
-        for argv in (["kpi", "ns-3"], ["ns-show", "ns-2"], ["ns-create", "wg-vpn", "--config", config]):
+        # a lookup by key finds its own line without reading the others' keys
+        for argv in (["kpi", "ns-3"], ["ns-show", "ns-2"], ["ns-action", "ns-2", "1", "get-public-key"]):
             expected = run_cli("--store", str(tmp_path / "lines"), *argv)
             assert expected[0] == 0
             assert run_cli("--store", str(tmp_path / "reordered"), *argv) == expected, argv
-        assert path.read_bytes() == (tmp_path / "lines" / "state.json").read_bytes()
+        assert path.read_bytes() == (tmp_path / "lines" / "state.json").read_bytes().replace(laid_out, lines[at])
+        # ns-3.m1.gw's line starts with no key, so looking it up, or adding a VDU, indexes every line
+        config = str(SAMPLES / "config-seeded-keys.yaml")
+        before = path.read_bytes()
+        for argv in (["ns-show", "ns-3"], ["ns-create", "wg-vpn", "--config", config]):
+            assert run_cli("--store", str(tmp_path / "reordered"), *argv) == \
+                (1, "", f"error: corrupt state file {path}: ValueError: a document line does not start with "
+                        '{"id":" and a plain key\n'), argv
+            assert path.read_bytes() == before, argv
 
     def test_corrupt_instance_fails_only_commands_that_touch_it(self, tmp_path):
         root = tmp_path / "s"
@@ -1325,7 +1340,7 @@ class TestDecodeOnDemand:
         for corrupt in corruptions:
             state = json.loads(pristine)
             corrupt(state["instances"][2])
-            (root / "state.json").write_text(json.dumps(state))
+            (root / "state.json").write_bytes(laid_out_in_lines(state))
             status, _, _ = run_cli("--store", str(root), "kpi", "ns-1")
             assert status == 0
             status, _, err = run_cli("--store", str(root), "kpi", "ns-3")
@@ -1361,33 +1376,52 @@ def _argv(command: str, instance: int, member: int, seed: int, configs: Path) ->
     return ["ns-action", ns, str(member), command, *(peer if command != "get-public-key" else [])]
 
 
+def _decoding_everything(load):
+    """`load` (``Store.load``) that also decodes every instance, VIM network
+    and VIM VDU, and every field an instance or record keeps undecoded, so
+    that a save re-encodes every line."""
+    def decoded(store, backend=None):
+        orch = load(store, backend)
+        for instance in orch.instances.values():  # each read below decodes its field
+            instance.events, instance.profile
+            for record in instance.vnf_records:
+                record.table, record.config_primitives, record.executed_primitives
+        list(orch.vim._networks.values()), list(orch.vim._vdus.values())
+        return orch
+    return decoded
+
+
+def _write_seed_configs(tmp: Path):
+    for seed in range(1, 5):
+        (tmp / f"config-{seed}.yaml").write_text(
+            f'member.1.key-seed: "{f"{seed:02x}" * 32}"\n'
+            f'member.2.key-seed: "{f"{seed + 8:02x}" * 32}"\n', encoding="utf-8")
+
+
+def _run_in(root: Path, argv: list[str]) -> tuple:
+    return tuple(str(part).replace(str(root), "<store>") for part in run_cli("--store", str(root), *argv))
+
+
 class TestSpliceMatchesWholeParse:
     @settings(max_examples=40, deadline=None)
     @given(commands=_COMMANDS)
     def test_same_results_and_bytes_as_a_store_parsed_whole(self, peered_template, commands):
-        """A store in the line layout, and its twin re-indented before every
-        command so that each load parses it whole, answer alike and save the
-        same bytes."""
+        """A store, and its twin whose every load decodes every document and
+        field, so that its every save re-encodes every line, answer alike and
+        save the same bytes."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            for seed in range(1, 5):
-                (tmp / f"config-{seed}.yaml").write_text(
-                    f'member.1.key-seed: "{f"{seed:02x}" * 32}"\n'
-                    f'member.2.key-seed: "{f"{seed + 8:02x}" * 32}"\n', encoding="utf-8")
+            _write_seed_configs(tmp)
             lines, whole = tmp / "lines", tmp / "whole"
             for root in (lines, whole):
                 shutil.copytree(peered_template, root)
             for command in commands:
                 argv = _argv(*command, tmp)
-                before = (lines / "state.json").read_bytes()
-                indented = json.dumps(json.loads((whole / "state.json").read_bytes()), indent=2).encode()
-                (whole / "state.json").write_bytes(indented)
-                results = [tuple(str(part).replace(str(root), "<store>")
-                                 for part in run_cli("--store", str(root), *argv)) for root in (lines, whole)]
+                results = [_run_in(lines, argv)]
+                with mock.patch.object(Store, "load", _decoding_everything(Store.load)):
+                    results.append(_run_in(whole, argv))
                 assert results[0] == results[1], argv
-                after = (whole / "state.json").read_bytes()
-                assert (lines / "state.json").read_bytes() == (before if after == indented else after), argv
-
+                assert (lines / "state.json").read_bytes() == (whole / "state.json").read_bytes(), argv
 
     @settings(max_examples=30, deadline=None)
     @given(commands=_COMMANDS, joins=st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans()),
@@ -1398,17 +1432,15 @@ class TestSpliceMatchesWholeParse:
         """A store in which two adjacent document lines are joined into one
         before every command, the second's first key moved last or not, and
         `blanks` end each document line before a newline (the file is still one
-        JSON document), lists the same keys as a whole parse of it; it and its
-        re-indented twin answer alike and save the same value."""
+        JSON document). Each command answers as it does on the file's value
+        in the line layout, or fails with one corrupt state file line and
+        leaves the file as it was; it never answers that a document in the
+        file is not found. Every save leaves each document in the file once."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            for seed in range(1, 5):
-                (tmp / f"config-{seed}.yaml").write_text(
-                    f'member.1.key-seed: "{f"{seed:02x}" * 32}"\n'
-                    f'member.2.key-seed: "{f"{seed + 8:02x}" * 32}"\n', encoding="utf-8")
-            joined, whole = tmp / "joined", tmp / "whole"
-            for root in (joined, whole):
-                shutil.copytree(peered_template, root)
+            _write_seed_configs(tmp)
+            joined, twin = tmp / "joined", tmp / "twin"
+            shutil.copytree(peered_template, joined)
             for command, (join, key_last) in zip(commands, itertools.cycle(joins)):
                 argv = _argv(*command, tmp)
                 text = re.sub(r",([ \t]*)\n(?=\{\")", lambda m: f",{m[1]}{blanks}\n",
@@ -1423,25 +1455,28 @@ class TestSpliceMatchesWholeParse:
                         doc[first] = doc.pop(first)
                     text = text[:at] + json.dumps(doc, separators=(",", ":")) + text[end:]
                 (joined / "state.json").write_text(text)
-                (whole / "state.json").write_bytes(
-                    json.dumps(json.loads((whole / "state.json").read_bytes()), indent=2).encode())
-                state = json.loads(text)
-                keys = [[doc["id"] for doc in state["instances"]], [doc["name"] for doc in state["vim"]["networks"]],
-                        [doc["id"] for doc in state["vim"]["vdus"]]]
-                for root in (joined, whole):
-                    orch = Store(root).load()
-                    assert [list(orch.instances), list(orch.vim._networks), list(orch.vim._vdus)] == keys
-                results = [tuple(str(part).replace(str(root), "<store>")
-                                 for part in run_cli("--store", str(root), *argv)) for root in (joined, whole)]
-                assert results[0] == results[1], argv
-                assert json.loads((joined / "state.json").read_bytes()) == \
-                    json.loads((whole / "state.json").read_bytes()), argv
+                shutil.rmtree(twin, ignore_errors=True)
+                shutil.copytree(joined, twin)
+                (twin / "state.json").write_bytes(laid_out_in_lines(json.loads(text)))
+                results = [_run_in(root, argv) for root in (joined, twin)]
+                if results[0] != results[1]:
+                    status, out, err = results[0]
+                    assert (status, out) == ("1", ""), argv
+                    assert err.startswith("error: corrupt state file <store>/state.json: ") and \
+                        err.count("\n") == 1, argv
+                    assert (joined / "state.json").read_text() == text, argv
+                    continue
+                saved = json.loads((joined / "state.json").read_bytes())
+                assert saved == json.loads((twin / "state.json").read_bytes()), argv
+                for docs, key in ((saved["instances"], "id"), (saved["vim"]["networks"], "name"),
+                                  (saved["vim"]["vdus"], "id")):
+                    assert len({doc[key] for doc in docs}) == len(docs), argv
 
 
 def _corrupt_vim(root: Path, section: str, key: str, entry_id: str, corrupt):
     state = json.loads((root / "state.json").read_text())
     corrupt(next(doc for doc in state["vim"][section] if doc[key] == entry_id))
-    (root / "state.json").write_text(json.dumps(state))
+    (root / "state.json").write_bytes(laid_out_in_lines(state))
 
 
 class TestFailureScope:
